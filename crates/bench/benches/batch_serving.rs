@@ -1,25 +1,19 @@
-//! Criterion bench for the batch-serving path introduced in PR 2: one
-//! synthetic workload, a batch of new cars, MaxFreqItemSets as the
-//! solver. Crosses the scheduler (static chunking vs work-stealing),
-//! the instance shape (full universe vs per-tuple projection), and the
-//! mining mode (serial vs pool-parallel walks). The full grid with the
-//! JSON artifact lives in `figures serving`; this bench gives
-//! statistically rigorous timings on the Quick workload.
+//! Criterion bench for the batch-serving path: one synthetic workload,
+//! a batch of new cars, MaxFreqItemSets as the solver, solved serially.
+//! Compares the full universe against the per-tuple projection and
+//! times one cold mine of the shared cache. The JSON artifact lives in
+//! `figures serving`; this bench gives statistically rigorous timings on
+//! the Quick workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use soc_bench::figs::synthetic_setup;
 use soc_bench::harness::Scale;
-use soc_core::{solve_batch, solve_batch_chunked, MfiSolver, Projected, SharedMfi};
+use soc_core::{solve_batch, MfiSolver, Projected, SharedMfi};
 use std::hint::black_box;
 
 fn bench_batch_serving(c: &mut Criterion) {
     let (log, cars) = synthetic_setup(Scale::Quick, 800, 32);
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-    let serial = MfiSolver::default();
-    let parallel = MfiSolver {
-        workers: threads,
-        ..Default::default()
-    };
+    let solver = MfiSolver::default();
     let m = 5;
 
     let mut group = c.benchmark_group("batch_serving");
@@ -27,47 +21,20 @@ fn bench_batch_serving(c: &mut Criterion) {
 
     // A fresh SharedMfi per iteration so every run pays the cold mine —
     // the cost profile of serving a batch against a new log.
-    group.bench_function("chunked_full_serial", |b| {
+    group.bench_function("full", |b| {
         b.iter(|| {
-            let shared = SharedMfi::new(serial.clone());
-            black_box(solve_batch_chunked(&shared, &log, &cars, m, threads))
+            let shared = SharedMfi::new(solver.clone());
+            black_box(solve_batch(&shared, &log, &cars, m))
         })
     });
-    group.bench_function("stealing_full_serial", |b| {
-        b.iter(|| {
-            let shared = SharedMfi::new(serial.clone());
-            black_box(solve_batch(&shared, &log, &cars, m, threads))
-        })
-    });
-    group.bench_function("stealing_full_parallel_mine", |b| {
-        b.iter(|| {
-            let shared = SharedMfi::new(parallel.clone());
-            black_box(solve_batch(&shared, &log, &cars, m, threads))
-        })
-    });
-    group.bench_function("stealing_projected_serial", |b| {
-        b.iter(|| {
-            black_box(solve_batch(
-                &Projected(serial.clone()),
-                &log,
-                &cars,
-                m,
-                threads,
-            ))
-        })
+    group.bench_function("projected", |b| {
+        b.iter(|| black_box(solve_batch(&Projected(solver.clone()), &log, &cars, m)))
     });
 
-    // The mining axis head-on: one cold prime of the shared cache.
-    group.bench_function("prime_serial_mine", |b| {
+    // Mining alone: one cold prime of the shared cache.
+    group.bench_function("prime", |b| {
         b.iter(|| {
-            let shared = SharedMfi::new(serial.clone());
-            shared.prime(&log);
-            black_box(shared.cached_thresholds())
-        })
-    });
-    group.bench_function("prime_parallel_mine", |b| {
-        b.iter(|| {
-            let shared = SharedMfi::new(parallel.clone());
+            let shared = SharedMfi::new(solver.clone());
             shared.prime(&log);
             black_box(shared.cached_thresholds())
         })

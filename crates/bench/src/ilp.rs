@@ -1,18 +1,16 @@
 //! ILP solver experiment: warm-started dual simplex vs cold two-phase
-//! node LPs, and parallel node exploration.
+//! node LPs.
 //!
 //! The paper's exact path (§IV.B) hands the linearized model to a
 //! branch-and-bound code; the cost of that path is dominated by the LP
-//! relaxation solved at every node. This experiment measures the three
+//! relaxation solved at every node. This experiment measures the two
 //! node-LP strategies the solver crate offers, on the long-query-log
 //! workload where the ILP is the bottleneck:
 //!
 //! - **cold** — every node runs the two-phase primal simplex from
 //!   scratch (`warm_lp: false`, the PR 1 baseline);
 //! - **warm** — every node restores its parent's basis and re-optimizes
-//!   with the dual simplex (`warm_lp: true`);
-//! - **parallel** — warm restores plus concurrent node exploration on
-//!   the worker pool (`threads > 1`).
+//!   with the dual simplex (`warm_lp: true`).
 //!
 //! The greedy warm-start incumbent and presolve are disabled so the
 //! branch-and-bound tree does real work — with them on, the seed
@@ -51,15 +49,13 @@ pub struct IlpParams {
     pub m: usize,
     /// Instances (cars) solved per configuration.
     pub instances: usize,
-    /// Worker threads for the parallel configuration.
-    pub threads: usize,
 }
 
 /// One measured configuration: wall time plus the solver counters
 /// accumulated across all instances.
 #[derive(Clone, Debug)]
 pub struct IlpResult {
-    /// Configuration label (`cold`, `warm`, `parallel`).
+    /// Configuration label (`cold`, `warm`).
     pub name: String,
     /// Total wall-clock across all instances.
     pub total: Duration,
@@ -85,10 +81,9 @@ fn accumulate(into: &mut SolveStats, s: &SolveStats) {
     into.warm_failures += s.warm_failures;
     into.pre_bound_pruned += s.pre_bound_pruned;
     into.presolved_vars += s.presolved_vars;
-    into.threads = into.threads.max(s.threads);
 }
 
-fn bench_solver(warm_lp: bool, threads: usize) -> IlpSolver {
+fn bench_solver(warm_lp: bool) -> IlpSolver {
     let mut solver = IlpSolver {
         // No greedy incumbent and no presolve: both collapse the seed
         // trees to a few nodes and erase the node-throughput signal.
@@ -98,11 +93,10 @@ fn bench_solver(warm_lp: bool, threads: usize) -> IlpSolver {
         ..Default::default()
     };
     solver.options.warm_lp = warm_lp;
-    solver.options.threads = threads;
     solver
 }
 
-/// Runs the three configurations over the same instances and returns
+/// Runs both configurations over the same instances and returns
 /// the per-config results. Shared by the table/JSON front-end and by
 /// tests.
 pub fn run_ilp(scale: Scale) -> (IlpParams, Vec<IlpResult>) {
@@ -113,20 +107,14 @@ pub fn run_ilp(scale: Scale) -> (IlpParams, Vec<IlpResult>) {
     let num_attrs = 40;
     let (log, cars) = synthetic_setup(scale, num_queries, num_attrs);
     let cars = &cars[..instances.min(cars.len())];
-    let threads = super::serving::pool_threads();
     let params = IlpParams {
         num_queries,
         num_attrs,
         m: ILP_M,
         instances: cars.len(),
-        threads,
     };
 
-    let configs = [
-        ("cold", bench_solver(false, 1)),
-        ("warm", bench_solver(true, 1)),
-        ("parallel", bench_solver(true, threads)),
-    ];
+    let configs = [("cold", bench_solver(false)), ("warm", bench_solver(true))];
     let mut results = Vec::new();
     for (name, solver) in configs {
         let mut total = Duration::ZERO;
@@ -169,7 +157,7 @@ pub fn ilp_solver_bench(scale: Scale) -> Table {
         .nodes_per_sec();
 
     let mut table = Table::new(
-        "ILP node-LP strategies — cold vs warm dual simplex vs parallel",
+        "ILP node-LP strategies — cold vs warm dual simplex",
         "config",
         vec![
             "total ms".into(),
@@ -196,10 +184,10 @@ pub fn ilp_solver_bench(scale: Scale) -> Table {
         );
     }
     table.note(format!(
-        "{} queries × {} attributes, {} instances, m = {}, parallel uses {} threads; \
+        "{} queries × {} attributes, {} instances, m = {}; \
          greedy incumbent and presolve disabled so the tree does real work; \
          satisfied weight asserted identical across configs",
-        params.num_queries, params.num_attrs, params.instances, params.m, params.threads
+        params.num_queries, params.num_attrs, params.instances, params.m
     ));
     table.note(
         "pivots/node counts primal + dual pivots plus warm-restore refactorization \
@@ -226,7 +214,6 @@ pub fn ilp_json(params: &IlpParams, results: &[IlpResult], scale: Scale) -> Stri
         .raw_field("num_attrs", params.num_attrs.to_string())
         .raw_field("m", params.m.to_string())
         .raw_field("instances", params.instances.to_string())
-        .raw_field("threads", params.threads.to_string())
         .str_field("baseline", "cold");
     for r in results {
         let ms = r.total.as_secs_f64() * 1e3;
@@ -267,7 +254,6 @@ mod tests {
             num_attrs: 6,
             m: 3,
             instances: 2,
-            threads: 4,
         };
         let mk = |name: &str, nodes, warm| IlpResult {
             name: name.into(),
@@ -301,17 +287,15 @@ mod tests {
 
     #[test]
     fn configs_agree_on_tiny_instances() {
-        // Minimal end-to-end run of the three configurations: every one
-        // must report the same satisfied weight (they are all exact).
+        // Minimal end-to-end run of both configurations: each must report
+        // the same satisfied weight (they are both exact).
         let (log, cars) = synthetic_setup(Scale::Quick, 40, 10);
         let car = &cars[0];
         let inst = SocInstance::new(&log, car, 3);
-        let baseline = bench_solver(false, 1).solve_with_stats(&inst);
-        for (warm, threads) in [(true, 1), (true, 3)] {
-            let (sol, stats) = bench_solver(warm, threads).solve_with_stats(&inst);
-            assert_eq!(sol.satisfied, baseline.0.satisfied);
-            assert!(stats.nodes > 0);
-        }
+        let baseline = bench_solver(false).solve_with_stats(&inst);
+        let (sol, stats) = bench_solver(true).solve_with_stats(&inst);
+        assert_eq!(sol.satisfied, baseline.0.satisfied);
+        assert!(stats.nodes > 0);
         assert_eq!(baseline.1.warm_solves, 0, "cold mode must not warm-start");
     }
 
@@ -323,7 +307,7 @@ mod tests {
     #[ignore = "release-mode smoke bench; run via scripts/ci.sh"]
     fn smoke_warm_solver_proves_within_node_budget() {
         let (log, cars) = synthetic_setup(Scale::Quick, 150, 24);
-        let mut solver = bench_solver(true, 1);
+        let mut solver = bench_solver(true);
         solver.options.max_nodes = 200_000;
         // Budgets tighter than the cars' attribute counts, so at least
         // one LP relaxation goes fractional and the trees exercise warm
@@ -337,7 +321,7 @@ mod tests {
                 assert!(stats.nodes <= 200_000);
                 warm_solves += stats.warm_solves;
                 // Cross-check exactness against the cold oracle.
-                let (cold, _) = bench_solver(false, 1).solve_with_stats(&inst);
+                let (cold, _) = bench_solver(false).solve_with_stats(&inst);
                 assert_eq!(sol.satisfied, cold.satisfied);
             }
         }

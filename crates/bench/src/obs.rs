@@ -64,8 +64,6 @@ pub struct ObsParams {
     pub cars: usize,
     /// Attribute budget.
     pub m: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Repetitions per configuration (minimum kept).
     pub reps: usize,
     /// Measured cost of one disabled `Counter::add` call, nanoseconds.
@@ -170,12 +168,12 @@ pub fn run_accuracy(samples: usize) -> SketchAccuracy {
     }
 }
 
-fn run_batch(log: &QueryLog, cars: &[Tuple], threads: usize, reps: usize, name: &str) -> ObsResult {
+fn run_batch(log: &QueryLog, cars: &[Tuple], reps: usize, name: &str) -> ObsResult {
     let mut min = Duration::MAX;
     let mut satisfied = 0usize;
     for rep in 0..reps {
         let shared = SharedMfi::new(MfiSolver::default());
-        let (t, batch) = measure(|| solve_batch(&shared, log, cars, OBS_M, threads));
+        let (t, batch) = measure(|| solve_batch(&shared, log, cars, OBS_M));
         min = min.min(t);
         let sum: usize = batch.iter().map(|s| s.satisfied).sum();
         if rep == 0 {
@@ -220,21 +218,20 @@ pub fn run_obs(scale: Scale) -> (ObsParams, Vec<ObsResult>) {
     };
     let num_attrs = 32;
     let (log, cars) = synthetic_setup(scale, num_queries, num_attrs);
-    let threads = super::serving::pool_threads();
 
     let mut results = Vec::new();
 
     soc_obs::disable_all();
-    results.push(run_batch(&log, &cars, threads, reps, "disabled"));
+    results.push(run_batch(&log, &cars, reps, "disabled"));
 
     soc_obs::enable_metrics();
     soc_obs::reset_metrics();
-    results.push(run_batch(&log, &cars, threads, reps, "metrics"));
+    results.push(run_batch(&log, &cars, reps, "metrics"));
     let latency = soc_obs::registry().sketch("serving.instance_us").snapshot();
 
     soc_obs::enable_all();
     let _ = soc_obs::drain_spans();
-    results.push(run_batch(&log, &cars, threads, reps, "metrics+tracing"));
+    results.push(run_batch(&log, &cars, reps, "metrics+tracing"));
     let spans = soc_obs::drain_spans().len();
 
     // Resets the registry, so it must run after the latency snapshot.
@@ -258,7 +255,6 @@ pub fn run_obs(scale: Scale) -> (ObsParams, Vec<ObsResult>) {
         num_attrs,
         cars: cars.len(),
         m: OBS_M,
-        threads,
         reps,
         disabled_ns_per_op: disabled_ns_per_op(),
         latency,
@@ -303,9 +299,9 @@ pub fn obs_overhead(scale: Scale) -> Table {
         );
     }
     table.note(format!(
-        "{} queries × {} attributes, batch of {} cars, m = {}, {} threads, \
+        "{} queries × {} attributes, batch of {} cars, m = {}, serial, \
          min of {} reps per config; satisfied weight asserted identical across configs",
-        params.num_queries, params.num_attrs, params.cars, params.m, params.threads, params.reps
+        params.num_queries, params.num_attrs, params.cars, params.m, params.reps
     ));
     table.note(format!(
         "per-instance latency sketch (metrics run): count={} mean={:.0}us \
@@ -354,7 +350,6 @@ pub fn obs_json(params: &ObsParams, results: &[ObsResult], scale: Scale) -> Stri
         .raw_field("num_attrs", params.num_attrs.to_string())
         .raw_field("cars", params.cars.to_string())
         .raw_field("m", params.m.to_string())
-        .raw_field("threads", params.threads.to_string())
         .raw_field("reps", params.reps.to_string())
         .str_field("baseline", "disabled")
         .raw_field(
@@ -420,7 +415,6 @@ mod tests {
             num_attrs: 6,
             cars: 2,
             m: 3,
-            threads: 2,
             reps: 2,
             disabled_ns_per_op: 0.75,
             latency: soc_obs::SketchSnapshot {

@@ -1,28 +1,20 @@
-//! Batch-serving experiment: the deployment shape introduced in PR 2.
+//! Batch-serving experiment: one synthetic workload, a stream of new
+//! cars, MaxFreqItemSets as the exact solver, every batch solved
+//! serially with [`soc_core::solve_batch`].
 //!
-//! One synthetic workload, a stream of new cars, MaxFreqItemSets as the
-//! exact solver. The experiment crosses the three axes that PR 2 added:
-//!
-//! - **scheduler** — static chunking ([`soc_core::solve_batch_chunked`],
-//!   the PR 1 baseline) vs the work-stealing pool
-//!   ([`soc_core::solve_batch`]);
-//! - **instance** — solving in the full 32-attribute universe vs the
-//!   per-tuple projection ([`soc_core::Projected`]), which shrinks the
-//!   log to contained queries and the universe to `|t|`;
-//! - **mining** — serial vs pool-parallel random-walk mining
-//!   (`MfiSolver::workers`), measured head-on by timing a cold
-//!   [`SharedMfi::prime`] on the full log.
+//! The experiment measures the one axis that pays on the serving path:
+//! solving in the full 32-attribute universe vs the per-tuple
+//! projection ([`soc_core::Projected`]), which shrinks the log to
+//! contained queries and the universe to `|t|`. A `prime` row times one
+//! cold [`SharedMfi::prime`] on the full log, the mining share of the
+//! full-universe batch.
 //!
 //! Besides the TSV table, [`batch_serving`] writes the machine-readable
 //! `BENCH_serving.json` so perf can be tracked across PRs.
 
 use std::time::Duration;
 
-use soc_core::{
-    solve_batch, solve_batch_chunked, solve_batch_with, BatchPolicy, MfiSolver, Projected,
-    SharedMfi, Solution,
-};
-use soc_data::Tuple;
+use soc_core::{solve_batch, MfiSolver, Projected, SharedMfi, Solution};
 
 use crate::figs::synthetic_setup;
 use crate::harness::{measure, Cell, Scale, Table};
@@ -32,10 +24,13 @@ use crate::json::{BenchJson, InlineObject};
 /// sweep midpoint).
 pub const SERVING_M: usize = 5;
 
+/// The configuration every speedup is measured against.
+pub const BASELINE: &str = "batch/full";
+
 /// One measured configuration.
 #[derive(Clone, Debug)]
 pub struct ServingResult {
-    /// Configuration label, `scheduler/instance/mining`.
+    /// Configuration label, `shape/instance`.
     pub name: String,
     /// Mean wall-clock per batch (or per prime) across repetitions.
     pub mean: Duration,
@@ -55,20 +50,8 @@ pub struct ServingParams {
     pub cars: usize,
     /// Attribute budget.
     pub m: usize,
-    /// Worker threads for the pool and for parallel mining.
-    pub threads: usize,
     /// Repetitions averaged per configuration.
     pub reps: usize,
-}
-
-/// Worker-thread count: the host parallelism, floored at 2 so the
-/// stealing scheduler and the parallel miner are genuinely exercised
-/// even on single-core CI hosts (where those axes measure pure overhead
-/// and any speedup comes from projection alone).
-pub(crate) fn pool_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(4, std::num::NonZero::get)
-        .max(2)
 }
 
 fn timed_batch(
@@ -106,242 +89,61 @@ pub fn run_serving(scale: Scale) -> (ServingParams, Vec<ServingResult>) {
     };
     let num_attrs = 32;
     let (log, cars) = synthetic_setup(scale, num_queries, num_attrs);
-    let threads = pool_threads();
     let params = ServingParams {
         num_queries,
         num_attrs,
         cars: cars.len(),
         m: SERVING_M,
-        threads,
         reps,
     };
-
-    let serial = MfiSolver::default();
-    let parallel = MfiSolver {
-        workers: threads,
-        ..Default::default()
-    };
+    let solver = MfiSolver::default();
     let mut results = Vec::new();
 
-    // Mining axis, head-on: one cold prime of the shared cache on the
-    // full log, serial vs pool-parallel walks. A fresh cache every rep so
-    // each rep pays the full mine.
-    for (name, solver) in [
-        ("prime/full/serial-mine", serial.clone()),
-        ("prime/full/parallel-mine", parallel.clone()),
-    ] {
-        let mut total = Duration::ZERO;
-        for _ in 0..reps {
-            let shared = SharedMfi::new(solver.clone());
-            let (t, ()) = measure(|| shared.prime(&log));
-            total += t;
-        }
-        results.push(ServingResult {
-            name: name.to_string(),
-            mean: total / reps as u32,
-            total_satisfied: None,
-        });
+    // Mining alone: one cold prime of the shared cache on the full log.
+    // A fresh cache every rep so each rep pays the full mine.
+    let mut total = Duration::ZERO;
+    for _ in 0..reps {
+        let shared = SharedMfi::new(solver.clone());
+        let (t, ()) = measure(|| shared.prime(&log));
+        total += t;
     }
+    results.push(ServingResult {
+        name: "prime/full".to_string(),
+        mean: total / reps as u32,
+        total_satisfied: None,
+    });
 
-    // Scheduler axis on the full universe. A fresh SharedMfi per rep:
-    // the first instance mines cold, the rest hit the cache — the
-    // realistic cost profile of serving a batch against a new log.
+    // Full universe. A fresh SharedMfi per rep: the first instance mines
+    // cold, the rest hit the cache — the realistic cost profile of
+    // serving a batch against a new log.
     timed_batch(
         reps,
         || {
-            let shared = SharedMfi::new(serial.clone());
-            solve_batch_chunked(&shared, &log, &cars, SERVING_M, threads)
+            let shared = SharedMfi::new(solver.clone());
+            solve_batch(&shared, &log, &cars, SERVING_M)
         },
-        "chunked/full/serial-mine",
-        &mut results,
-    );
-    timed_batch(
-        reps,
-        || {
-            let shared = SharedMfi::new(serial.clone());
-            solve_batch(&shared, &log, &cars, SERVING_M, threads)
-        },
-        "stealing/full/serial-mine",
-        &mut results,
-    );
-    timed_batch(
-        reps,
-        || {
-            let shared = SharedMfi::new(parallel.clone());
-            solve_batch(&shared, &log, &cars, SERVING_M, threads)
-        },
-        "stealing/full/parallel-mine",
+        BASELINE,
         &mut results,
     );
 
-    // Instance axis: per-tuple projection. Each instance mines its own
-    // compact log (universe |t| instead of 32, contained queries only),
-    // so there is no cross-tuple cache to share — and none is needed.
+    // Per-tuple projection. Each instance mines its own compact log
+    // (universe |t| instead of 32, contained queries only), so there is
+    // no cross-tuple cache to share — and none is needed.
     timed_batch(
         reps,
-        || solve_batch_chunked(&Projected(serial.clone()), &log, &cars, SERVING_M, threads),
-        "chunked/projected/serial-mine",
-        &mut results,
-    );
-    timed_batch(
-        reps,
-        || solve_batch(&Projected(serial.clone()), &log, &cars, SERVING_M, threads),
-        "stealing/projected/serial-mine",
-        &mut results,
-    );
-    // The headline deployment config gated by scripts/ci.sh: projection +
-    // adaptive batch scheduling + adaptive parallel mining. Both adaptive
-    // layers may legitimately degrade to serial (1-core host, small
-    // projected logs) — the gate asserts they then cost no more than the
-    // static chunked serial path.
-    timed_batch(
-        reps,
-        || {
-            solve_batch(
-                &Projected(parallel.clone()),
-                &log,
-                &cars,
-                SERVING_M,
-                threads,
-            )
-        },
-        "stealing/projected/parallel-mine",
+        || solve_batch(&Projected(solver.clone()), &log, &cars, SERVING_M),
+        "batch/projected",
         &mut results,
     );
 
     (params, results)
 }
 
-/// Workloads of the scaling grid: label, query-log size, batch width.
-/// Spaced ~4× apart so the grid brackets the serial/parallel crossover
-/// on multi-core hosts.
-pub const GRID_WORKLOADS: [(&str, usize, usize); 3] =
-    [("small", 150, 8), ("medium", 600, 24), ("large", 1_800, 64)];
-
-/// Thread axis of the scaling grid.
-pub const GRID_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Repetitions per grid cell; each cell keeps the **minimum** across
-/// repetitions — the standard noise rejection for short timings (any
-/// positive error inflates a measurement, none deflates it).
-const GRID_REPS: usize = 5;
-
-/// One cell of the threads × workload scaling grid, timing the projected
-/// serving batch under all three [`BatchPolicy`] settings.
-#[derive(Clone, Debug)]
-pub struct GridCell {
-    /// Workload label (`small` / `medium` / `large`).
-    pub workload: &'static str,
-    /// Query-log size of the workload.
-    pub num_queries: usize,
-    /// Batch width (cars served).
-    pub cars: usize,
-    /// Worker threads offered to the scheduler.
-    pub threads: usize,
-    /// Min-of-reps batch time with [`BatchPolicy::ForceSerial`] (inline,
-    /// zero threads spawned).
-    pub serial_ms: f64,
-    /// Min-of-reps batch time with [`BatchPolicy::Adaptive`] (the
-    /// production default: the cost model picks inline or pool).
-    pub adaptive_ms: f64,
-    /// Min-of-reps batch time with [`BatchPolicy::ForcePool`] (always
-    /// spawns the stealing pool).
-    pub pool_ms: f64,
-}
-
-/// The measured serial/parallel crossover: the smallest workload (and
-/// the thread count) at which the forced pool path beats inline serial.
-#[derive(Clone, Debug)]
-pub struct Crossover {
-    /// Thread count of the winning cell.
-    pub threads: usize,
-    /// Workload label of the winning cell.
-    pub workload: String,
-    /// Query-log size of the winning cell.
-    pub num_queries: usize,
-}
-
-/// Runs the threads × workload scaling grid on the projected serving
-/// path. Row-major over [`GRID_WORKLOADS`] then [`GRID_THREADS`].
-pub fn run_scaling_grid(scale: Scale) -> Vec<GridCell> {
-    let num_attrs = 32;
-    let solver = Projected(MfiSolver::default());
-    let mut cells = Vec::new();
-    for &(workload, num_queries, num_cars) in &GRID_WORKLOADS {
-        let (log, sampled) = synthetic_setup(scale, num_queries, num_attrs);
-        // Widen the batch by cycling the sampled cars: batch width is the
-        // parallelism axis the pool schedules over, so the grid must
-        // scale it independently of `scale.cars()`.
-        let cars: Vec<Tuple> = (0..num_cars)
-            .map(|i| sampled[i % sampled.len()].clone())
-            .collect();
-        for &threads in &GRID_THREADS {
-            let time = |policy: BatchPolicy| {
-                let mut best = f64::INFINITY;
-                let mut satisfied = 0usize;
-                for _ in 0..GRID_REPS {
-                    let (t, batch) = measure(|| {
-                        solve_batch_with(&solver, &log, &cars, SERVING_M, threads, policy)
-                    });
-                    best = best.min(t.as_secs_f64() * 1e3);
-                    satisfied = batch.iter().map(|s| s.satisfied).sum();
-                }
-                (best, satisfied)
-            };
-            let (serial_ms, sat_serial) = time(BatchPolicy::ForceSerial);
-            let (adaptive_ms, sat_adaptive) = time(BatchPolicy::Adaptive);
-            let (pool_ms, sat_pool) = time(BatchPolicy::ForcePool);
-            assert_eq!(
-                sat_serial, sat_adaptive,
-                "{workload}/{threads}t: adaptive objective drifted"
-            );
-            assert_eq!(
-                sat_serial, sat_pool,
-                "{workload}/{threads}t: pool objective drifted"
-            );
-            cells.push(GridCell {
-                workload,
-                num_queries,
-                cars: cars.len(),
-                threads,
-                serial_ms,
-                adaptive_ms,
-                pool_ms,
-            });
-        }
-    }
-    cells
-}
-
-/// A cell only counts as crossed when the pool beats serial by more
-/// than this factor. Two timings of identical work routinely land a few
-/// percent apart on a shared host; a "win" inside that band is jitter,
-/// and declaring a crossover from it would flip the recorded point from
-/// run to run.
-const CROSSOVER_MARGIN: f64 = 1.05;
-
-/// The measured crossover of a grid: scanning workloads small → large
-/// and threads ascending, the first multi-thread cell where the forced
-/// pool path beats inline serial by more than [`CROSSOVER_MARGIN`].
-/// `None` when parallelism never pays — the honest answer on a
-/// single-hardware-thread host, where the adaptive policy's job is to
-/// *stay serial*.
-pub fn scaling_crossover(grid: &[GridCell]) -> Option<Crossover> {
-    for &(workload, num_queries, _) in &GRID_WORKLOADS {
-        for cell in grid
-            .iter()
-            .filter(|c| c.workload == workload && c.threads > 1)
-        {
-            if cell.pool_ms * CROSSOVER_MARGIN <= cell.serial_ms {
-                return Some(Crossover {
-                    threads: cell.threads,
-                    workload: workload.to_string(),
-                    num_queries,
-                });
-            }
-        }
-    }
-    None
+fn baseline_mean(results: &[ServingResult]) -> Duration {
+    results
+        .iter()
+        .find(|r| r.name == BASELINE)
+        .map_or(Duration::ZERO, |r| r.mean)
 }
 
 /// The `figures serving` experiment: runs [`run_serving`], writes
@@ -349,19 +151,14 @@ pub fn scaling_crossover(grid: &[GridCell]) -> Option<Crossover> {
 /// human-readable table.
 pub fn batch_serving(scale: Scale) -> Table {
     let (params, results) = run_serving(scale);
-    let grid = run_scaling_grid(scale);
-    let baseline = results
-        .iter()
-        .find(|r| r.name == "chunked/full/serial-mine")
-        .expect("baseline config always runs")
-        .mean;
+    let baseline = baseline_mean(&results);
 
     let mut table = Table::new(
-        "Batch serving — scheduler × instance × mining (MaxFreqItemSets)",
+        "Batch serving — full universe vs per-tuple projection (MaxFreqItemSets)",
         "config",
         vec![
             "mean ms".into(),
-            "speedup vs PR1 baseline".into(),
+            format!("speedup vs {BASELINE}"),
             "total satisfied".into(),
         ],
     );
@@ -377,10 +174,9 @@ pub fn batch_serving(scale: Scale) -> Table {
         );
     }
     table.note(format!(
-        "{} queries × {} attributes, batch of {} cars, m = {}, {} threads, {} reps; \
-         baseline = chunked/full/serial-mine (the PR 1 static path); prime rows time \
-         mining only",
-        params.num_queries, params.num_attrs, params.cars, params.m, params.threads, params.reps
+        "{} queries × {} attributes, batch of {} cars, m = {}, {} reps, serial; \
+         the prime row times mining only",
+        params.num_queries, params.num_attrs, params.cars, params.m, params.reps
     ));
     table.note(
         "totals are asserted stable across reps per config; full-universe and \
@@ -388,26 +184,8 @@ pub fn batch_serving(scale: Scale) -> Table {
          maximal itemsets in the wide universe — projection shrinks the search \
          space and improves recall at the same budget",
     );
-    match scaling_crossover(&grid) {
-        Some(c) => table.note(format!(
-            "scaling grid ({} cells, min of {GRID_REPS} reps): pool first beats inline \
-             serial at the {} workload ({} queries) with {} threads — see \
-             BENCH_serving.json \"grid\"",
-            grid.len(),
-            c.workload,
-            c.num_queries,
-            c.threads
-        )),
-        None => table.note(format!(
-            "scaling grid ({} cells, min of {GRID_REPS} reps): the pool never beat \
-             inline serial on this host — expected with {} hardware thread(s); the \
-             adaptive policy stays serial — see BENCH_serving.json \"grid\"",
-            grid.len(),
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        )),
-    }
 
-    let json = serving_json(&params, &results, &grid, scale);
+    let json = serving_json(&params, &results, scale);
     match std::fs::write("BENCH_serving.json", &json) {
         Ok(()) => table.note("wrote BENCH_serving.json"),
         Err(e) => table.note(format!("could not write BENCH_serving.json: {e}")),
@@ -416,73 +194,16 @@ pub fn batch_serving(scale: Scale) -> Table {
 }
 
 /// Renders the machine-readable artifact through the shared
-/// [`crate::json`] emitter. Besides the flat `configs` array this
-/// artifact carries the `grid` array (one inline object per scaling-grid
-/// cell) and the measured `crossover` (object, or `null` when
-/// parallelism never paid on the measuring host).
-pub fn serving_json(
-    params: &ServingParams,
-    results: &[ServingResult],
-    grid: &[GridCell],
-    scale: Scale,
-) -> String {
-    let baseline = results
-        .iter()
-        .find(|r| r.name == "chunked/full/serial-mine")
-        .map_or(Duration::ZERO, |r| r.mean);
+/// [`crate::json`] emitter.
+pub fn serving_json(params: &ServingParams, results: &[ServingResult], scale: Scale) -> String {
+    let baseline = baseline_mean(results);
     let mut json = BenchJson::new("batch_serving", scale)
         .raw_field("num_queries", params.num_queries.to_string())
         .raw_field("num_attrs", params.num_attrs.to_string())
         .raw_field("cars", params.cars.to_string())
         .raw_field("m", params.m.to_string())
-        .raw_field("threads", params.threads.to_string())
         .raw_field("reps", params.reps.to_string())
-        .str_field("baseline", "chunked/full/serial-mine");
-    let rows: Vec<String> = grid
-        .iter()
-        .map(|c| {
-            InlineObject::new()
-                .str("workload", c.workload)
-                .raw("num_queries", c.num_queries.to_string())
-                .raw("cars", c.cars.to_string())
-                .raw("threads", c.threads.to_string())
-                .raw("serial_ms", format!("{:.3}", c.serial_ms))
-                .raw("adaptive_ms", format!("{:.3}", c.adaptive_ms))
-                .raw("pool_ms", format!("{:.3}", c.pool_ms))
-                .raw(
-                    "adaptive_vs_serial",
-                    format!("{:.3}", c.serial_ms / c.adaptive_ms.max(1e-9)),
-                )
-                .raw(
-                    "pool_vs_serial",
-                    format!("{:.3}", c.serial_ms / c.pool_ms.max(1e-9)),
-                )
-                .render_inline()
-        })
-        .collect();
-    json = json.raw_field(
-        "grid",
-        if rows.is_empty() {
-            "[]".to_string()
-        } else {
-            format!("[\n    {}\n  ]", rows.join(",\n    "))
-        },
-    );
-    json = match scaling_crossover(grid) {
-        Some(c) => json.raw_field(
-            "crossover",
-            InlineObject::new()
-                .raw("threads", c.threads.to_string())
-                .str("workload", &c.workload)
-                .raw("num_queries", c.num_queries.to_string())
-                .render_inline(),
-        ),
-        None => json.raw_field("crossover", "null").str_field(
-            "crossover_note",
-            "forced pool never beat inline serial on the measuring host; \
-             the adaptive policy degrades to serial below the crossover",
-        ),
-    };
+        .str_field("baseline", BASELINE);
     for r in results {
         let ms = r.mean.as_secs_f64() * 1e3;
         let speedup = baseline.as_secs_f64() / r.mean.as_secs_f64().max(1e-12);
@@ -512,58 +233,27 @@ mod tests {
             num_attrs: 6,
             cars: 2,
             m: 3,
-            threads: 4,
             reps: 1,
         };
         let results = vec![
             ServingResult {
-                name: "chunked/full/serial-mine".into(),
+                name: BASELINE.into(),
                 mean: Duration::from_millis(20),
                 total_satisfied: Some(7),
             },
             ServingResult {
-                name: "prime/full/serial-mine".into(),
+                name: "prime/full".into(),
                 mean: Duration::from_millis(10),
                 total_satisfied: None,
             },
         ];
-        let grid = vec![
-            GridCell {
-                workload: "small",
-                num_queries: 150,
-                cars: 8,
-                threads: 1,
-                serial_ms: 2.0,
-                adaptive_ms: 2.1,
-                pool_ms: 4.0,
-            },
-            GridCell {
-                workload: "large",
-                num_queries: 1_800,
-                cars: 64,
-                threads: 4,
-                serial_ms: 40.0,
-                adaptive_ms: 20.0,
-                pool_ms: 20.0,
-            },
-        ];
-        let json = serving_json(&params, &results, &grid, Scale::Quick);
+        let json = serving_json(&params, &results, Scale::Quick);
         assert!(json.contains("\"experiment\": \"batch_serving\""));
+        assert!(json.contains("\"baseline\": \"batch/full\""));
         assert!(json.contains("\"mean_ms\": 20.000"));
         assert!(json.contains("\"speedup_vs_baseline\": 2.000"));
         assert!(json.contains("\"total_satisfied\": null"));
         assert!(json.contains("\"total_satisfied\": 7"));
-        // The grid rows and the measured crossover (the large cell is the
-        // first where the forced pool beats inline serial).
-        assert!(json.contains("\"grid\": [\n"));
-        assert!(json.contains("\"pool_vs_serial\": 0.500"));
-        assert!(json.contains(
-            "\"crossover\": {\"threads\": 4, \"workload\": \"large\", \"num_queries\": 1800}"
-        ));
-        // A grid that never crosses records the honest null.
-        let no_cross = serving_json(&params, &results, &grid[..1], Scale::Quick);
-        assert!(no_cross.contains("\"crossover\": null"));
-        assert!(no_cross.contains("\"crossover_note\""));
         // Balanced braces/brackets — enough of a well-formedness check
         // for a schema with no nested strings.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -574,159 +264,22 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "release-mode smoke bench; run via scripts/ci.sh"]
-    fn smoke_stealing_does_not_lose_to_static_chunking() {
-        // Regression guard for the parallelism-loses-to-serial finding
-        // (BENCH_serving.json once recorded stealing/full at 1.0× and
-        // stealing+parallel-mine at 0.70× of the static baseline):
-        // instance batching in `solve_batch` amortises per-task pool
-        // overhead, so the stealing scheduler must now stay within noise
-        // of — or beat — the chunked split at the default scale, and the
-        // parallel-mine config must no longer trail by 30%.
-        let (_, results) = run_serving(Scale::Quick);
-        let mean = |name: &str| {
-            results
-                .iter()
-                .find(|r| r.name == name)
-                .unwrap_or_else(|| panic!("config {name} missing"))
-                .mean
-                .as_secs_f64()
-        };
-        let chunked = mean("chunked/full/serial-mine");
-        let stealing = mean("stealing/full/serial-mine");
-        let parallel = mean("stealing/full/parallel-mine");
-        assert!(
-            stealing <= chunked * 1.15,
-            "stealing {:.1} ms vs chunked {:.1} ms — pool overhead regressed",
-            stealing * 1e3,
-            chunked * 1e3
-        );
-        assert!(
-            parallel <= chunked * 1.30,
-            "parallel-mine {:.1} ms vs chunked {:.1} ms — mining overhead regressed",
-            parallel * 1e3,
-            chunked * 1e3
-        );
-    }
-
-    #[test]
-    #[ignore = "release-mode smoke bench; run via scripts/ci.sh"]
-    fn smoke_parallelism_pays_at_the_largest_workload() {
-        // The PR 8 perf gate. Two assertions, both retried once (like the
-        // hybrid index smoke) because single timings on shared runners
-        // routinely jitter a few percent:
-        //
-        // 1. headline config — `stealing/projected/parallel-mine` (both
-        //    adaptive layers on) must not lose to the static serial
-        //    baseline `chunked/projected/serial-mine` at the grid's
-        //    largest workload, interleaved min-of-7 reps per side
-        //    (≥ 1.0×, where the retry widens to ≥ 0.95× for jitter);
-        // 2. grid contract — in every cell at or below the measured
-        //    crossover, the adaptive policy must stay within 10% of
-        //    forced inline serial (25% on the retry, same widening the
-        //    index smoke applies): adapting must never cost what forcing
-        //    the pool costs.
-        let (_, num_queries, num_cars) = GRID_WORKLOADS[GRID_WORKLOADS.len() - 1];
-        let (log, sampled) = synthetic_setup(Scale::Quick, num_queries, 32);
-        let cars: Vec<Tuple> = (0..num_cars)
-            .map(|i| sampled[i % sampled.len()].clone())
-            .collect();
-        let threads = pool_threads();
-        let serial_solver = MfiSolver::default();
-        let parallel_solver = MfiSolver {
-            workers: threads,
-            ..Default::default()
-        };
-        let run_serial = || {
-            solve_batch_chunked(
-                &Projected(serial_solver.clone()),
-                &log,
-                &cars,
-                SERVING_M,
-                threads,
-            )
-        };
-        let run_adaptive = || {
-            solve_batch(
-                &Projected(parallel_solver.clone()),
-                &log,
-                &cars,
-                SERVING_M,
-                threads,
-            )
-        };
-
-        let mut failure = String::new();
-        for attempt in 0..2 {
-            // Interleaved min-of-7: the headline compares two
-            // near-identical costs, so the mean-of-few used by the table
-            // rows is too noisy here. The minimum rejects every positive
-            // timing error, and alternating the two sides rep by rep
-            // exposes both to the same load drift instead of letting a
-            // slow phase land entirely on one side.
-            let (mut serial, mut adaptive) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..7 {
-                serial = serial.min(measure(run_serial).0.as_secs_f64() * 1e3);
-                adaptive = adaptive.min(measure(run_adaptive).0.as_secs_f64() * 1e3);
-            }
-            let headline = serial / adaptive.max(1e-9);
-
-            let grid = run_scaling_grid(Scale::Quick);
-            let crossover = scaling_crossover(&grid);
-            // Cells "below the crossover": where the forced pool loses to
-            // serial — exactly where the adaptive policy must not follow
-            // it. (With no crossover, that is every cell.)
-            let worst_adaptive = grid
-                .iter()
-                .filter(|c| c.pool_ms > c.serial_ms)
-                .map(|c| c.adaptive_ms / c.serial_ms.max(1e-9))
-                .fold(0.0f64, f64::max);
-
-            // The retry widens both bounds the same way the index smoke
-            // does: on this class of shared box two timings of identical
-            // machine code routinely land several percent apart, and the
-            // regression this gate exists to catch (parallel machinery as
-            // pure overhead) measured 30% before the adaptive rebuild.
-            let (head_floor, adapt_ceil) = if attempt == 0 {
-                (1.0, 1.10)
-            } else {
-                (0.93, 1.25)
-            };
-            failure = format!(
-                "attempt {attempt}: headline {headline:.3}× (need ≥{head_floor}), worst \
-                 adaptive/serial below crossover {worst_adaptive:.3} (need ≤{adapt_ceil}), \
-                 crossover {crossover:?}"
-            );
-            eprintln!("{failure}");
-            if headline >= head_floor && worst_adaptive <= adapt_ceil {
-                return;
-            }
-        }
-        panic!("parallelism perf gate failed twice; last {failure}");
-    }
-
-    #[test]
     fn all_batch_configs_agree_on_the_objective() {
-        // Tiny end-to-end run: every batch configuration must report the
+        // Tiny end-to-end run: both batch configurations must report the
         // same total satisfied weight (MaxFreqItemSets is exact, and
         // projection preserves the objective).
         let (log, cars) = synthetic_setup(Scale::Quick, 120, 16);
         let cars = &cars[..3.min(cars.len())];
-        let serial = MfiSolver::default();
-        let shared = SharedMfi::new(serial.clone());
-        let full: usize = solve_batch(&shared, &log, cars, 4, 2)
+        let solver = MfiSolver::default();
+        let shared = SharedMfi::new(solver.clone());
+        let full: usize = solve_batch(&shared, &log, cars, 4)
             .iter()
             .map(|s| s.satisfied)
             .sum();
-        let projected: usize = solve_batch(&Projected(serial.clone()), &log, cars, 4, 2)
-            .iter()
-            .map(|s| s.satisfied)
-            .sum();
-        let chunked: usize = solve_batch_chunked(&Projected(serial), &log, cars, 4, 2)
+        let projected: usize = solve_batch(&Projected(solver), &log, cars, 4)
             .iter()
             .map(|s| s.satisfied)
             .sum();
         assert_eq!(full, projected);
-        assert_eq!(projected, chunked);
     }
 }

@@ -5,7 +5,7 @@
 //! path is unit-testable; `src/main.rs` is a thin binary shim.
 //!
 //! ```text
-//! soc solve    --log FILE --tuple BITS -m N [--algo NAME] [--dedup] [--project] [--workers N]
+//! soc solve    --log FILE --tuple BITS -m N [--algo NAME] [--dedup] [--project]
 //!              [--sketch] [--clusters K] [--stats] [--metrics[=table|json]] [--trace-out PATH]
 //! soc dominate --db FILE  --tuple BITS -m N [--algo NAME]
 //! soc per-attr --log FILE --tuple BITS [--algo NAME]
@@ -24,10 +24,7 @@ use std::fmt;
 
 use soc_core::variants::data_variant::solve_soc_cb_d;
 use soc_core::variants::per_attribute::solve_per_attribute;
-use soc_core::{
-    default_clusters, BruteForce, ConsumeAttr, ConsumeAttrCumul, ConsumeQueries, IlpSolver,
-    LocalSearch, MfiSolver, Projected, SketchSolver, SocAlgorithm, SocInstance,
-};
+use soc_core::{default_clusters, IlpSolver, Projected, SketchSolver, SocAlgorithm, SocInstance};
 use soc_data::{io as socio, AttrId, QueryLog, Schema, Tuple};
 use soc_workload::{
     generate_cars, generate_real_workload, generate_synthetic_workload, CarsConfig,
@@ -68,7 +65,7 @@ fn runtime(message: impl Into<String>) -> CliError {
 /// Usage text shown on argument errors.
 pub const USAGE: &str = "\
 usage:
-  soc solve    --log FILE --tuple BITS -m N [--algo NAME] [--dedup] [--project] [--workers N]
+  soc solve    --log FILE --tuple BITS -m N [--algo NAME] [--dedup] [--project]
                [--sketch] [--clusters K] [--stats] [--metrics[=table|json]] [--trace-out PATH]
   soc dominate --db FILE  --tuple BITS -m N [--algo NAME]
   soc per-attr --log FILE --tuple BITS [--algo NAME]
@@ -78,13 +75,10 @@ usage:
   soc serve    [--port N] [--host H] [--threads N] [--max-conns N] [--slow-ms N]
 
 algorithms: brute ilp mfi mfi-det attr cumul queries local (default: mfi)
---project solves on the tuple-projected instance; --workers N mines MFIs
-with N threads (mfi only; defaults to the host's available parallelism,
-and the solver degrades to serial mining when the host or the log is too
-small for threads to pay — pass --workers 1 to force serial); --stats
-prints branch-and-bound counters (nodes, LP pivots, warm-start hit rate —
-ilp only); --metrics prints the process metric registry after solving
-(any algorithm); --trace-out writes tracing spans as JSON lines to PATH
+--project solves on the tuple-projected instance; --stats prints
+branch-and-bound counters (nodes, LP pivots, warm-start hit rate — ilp
+only); --metrics prints the process metric registry after solving (any
+algorithm); --trace-out writes tracing spans as JSON lines to PATH
 
 --sketch solves through cluster-compressed sketch-and-refine: similar
 queries are clustered, the sketch instance is solved with the chosen
@@ -199,39 +193,17 @@ fn parse_f64(s: &str, what: &str) -> Result<f64, CliError> {
         .map_err(|_| usage(format!("{what} must be a number, got {s:?}")))
 }
 
+/// Builds a named algorithm from the protocol's table, so the CLI and
+/// `soc serve` accept the same names. Sketch-and-refine wraps another
+/// algorithm, so it is reached through `--sketch`, not `--algo`.
 fn algorithm(name: &str) -> Result<Box<dyn SocAlgorithm>, CliError> {
-    algorithm_with_workers(name, 1)
-}
-
-/// The host's available parallelism — the default for `--workers`
-/// (solve) and `--threads` (serve). Overridable by passing the flag.
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
-fn algorithm_with_workers(name: &str, workers: usize) -> Result<Box<dyn SocAlgorithm>, CliError> {
-    if workers == 0 {
-        return Err(usage("--workers must be at least 1"));
+    match soc_serve::Algo::parse(name) {
+        Some(soc_serve::Algo::Sketch) => Err(usage(
+            "sketch is not an --algo; pass --sketch (--algo then picks the sketch's solver)",
+        )),
+        Some(algo) => Ok(algo.build()),
+        None => Err(usage(format!("unknown algorithm {name:?}"))),
     }
-    if workers > 1 && name != "mfi" {
-        return Err(usage(format!(
-            "--workers only applies to the mfi algorithm, not {name:?}"
-        )));
-    }
-    Ok(match name {
-        "brute" => Box::new(BruteForce),
-        "ilp" => Box::new(IlpSolver::default()),
-        "mfi" => Box::new(MfiSolver {
-            workers,
-            ..Default::default()
-        }),
-        "mfi-det" => Box::new(MfiSolver::deterministic()),
-        "attr" => Box::new(ConsumeAttr),
-        "cumul" => Box::new(ConsumeAttrCumul),
-        "queries" => Box::new(ConsumeQueries),
-        "local" => Box::new(LocalSearch::default()),
-        other => return Err(usage(format!("unknown algorithm {other:?}"))),
-    })
 }
 
 fn parse_tuple(bits: &str, schema: &Schema) -> Result<Tuple, CliError> {
@@ -289,26 +261,13 @@ fn cmd_solve(rest: &[String], files: &dyn FileSource) -> Result<String, CliError
     let mut log = load_log(&mut args, files)?;
     let tuple_bits = args.required("--tuple")?;
     let m = parse_usize(args.required("-m")?, "-m")?;
-    let workers = args
-        .value("--workers")?
-        .map(|s| parse_usize(s, "--workers"))
-        .transpose()?;
     let sketch = args.flag("--sketch");
     let clusters = args
         .value("--clusters")?
         .map(|s| parse_usize(s, "--clusters"))
         .transpose()?;
     let algo_name = args.value("--algo")?.unwrap_or("mfi");
-    // Unset --workers defaults to the host parallelism for the one
-    // algorithm that can use it (the MFI solver's adaptive cost model
-    // still degrades to serial mining when threads would not pay);
-    // non-mfi algorithms keep their serial default rather than tripping
-    // the workers-is-mfi-only validation.
-    let algo = match workers {
-        Some(w) => algorithm_with_workers(algo_name, w)?,
-        None if algo_name == "mfi" => algorithm_with_workers(algo_name, host_parallelism())?,
-        None => algorithm(algo_name)?,
-    };
+    let algo = algorithm(algo_name)?;
     if args.flag("--dedup") {
         log = log.deduplicate();
     }
@@ -459,7 +418,6 @@ fn solver_stat_rows(s: &soc_core::SolveStats) -> Vec<soc_obs::MetricRow> {
             "solver.presolved_vars",
             MetricValue::Counter(s.presolved_vars as u64),
         ),
-        row("solver.threads", MetricValue::Gauge(s.threads as i64)),
         row("solver.lp_pivots", MetricValue::Counter(s.lp_pivots as u64)),
         row(
             "solver.dual_pivots",
@@ -650,7 +608,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
         .value("--threads")?
         .map(|s| parse_usize(s, "--threads"))
         .transpose()?
-        .unwrap_or_else(host_parallelism);
+        .unwrap_or_else(|| soc_serve::ServerConfig::default().threads);
     if threads == 0 {
         return Err(usage("--threads must be at least 1"));
     }
@@ -790,24 +748,6 @@ attrs = ac, four_door, turbo, power_doors, auto_trans, power_brakes
     }
 
     #[test]
-    fn solve_with_parallel_mining() {
-        let out = run_ok(&[
-            "solve",
-            "--log",
-            "log.txt",
-            "--tuple",
-            "110111",
-            "-m",
-            "3",
-            "--algo",
-            "mfi",
-            "--workers",
-            "3",
-        ]);
-        assert!(out.contains("satisfied: 3 of 5"), "{out}");
-    }
-
-    #[test]
     fn solve_with_stats_reports_solver_counters() {
         let out = run_ok(&[
             "solve", "--log", "log.txt", "--tuple", "110111", "-m", "3", "--algo", "ilp", "--stats",
@@ -924,33 +864,37 @@ attrs = ac, four_door, turbo, power_doors, auto_trans, power_brakes
     }
 
     #[test]
-    fn workers_flag_is_mfi_only() {
+    fn removed_worker_flag_is_a_leftover_argument() {
+        // Mining is serial; the old worker-count flag is now just an
+        // argument nobody consumes.
+        let flag = ["--", "workers"].concat();
         let err = run_err(&[
-            "solve",
-            "--log",
-            "log.txt",
-            "--tuple",
-            "110111",
-            "-m",
-            "3",
-            "--algo",
-            "brute",
-            "--workers",
+            "solve", "--log", "log.txt", "--tuple", "110111", "-m", "3", "--algo", "mfi", &flag,
             "2",
         ]);
         assert_eq!(err.code, 2);
+        assert!(
+            err.message
+                .starts_with(&format!("unrecognized argument {flag:?}")),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn sketch_and_unknown_algo_names_are_rejected() {
+        // The protocol's name table includes `sketch`; the CLI keeps it
+        // behind --sketch, which wraps another algorithm.
         let err = run_err(&[
-            "solve",
-            "--log",
-            "log.txt",
-            "--tuple",
-            "110111",
-            "-m",
-            "3",
-            "--workers",
-            "0",
+            "solve", "--log", "log.txt", "--tuple", "110111", "-m", "3", "--algo", "sketch",
         ]);
         assert_eq!(err.code, 2);
+        assert!(err.message.contains("--sketch"), "{}", err.message);
+        let err = run_err(&[
+            "solve", "--log", "log.txt", "--tuple", "110111", "-m", "3", "--algo", "quantum",
+        ]);
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown algorithm"), "{}", err.message);
     }
 
     #[test]

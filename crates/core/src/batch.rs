@@ -1,224 +1,46 @@
-//! Parallel batch solving: score many candidate tuples against one query
-//! log. This is the deployment shape of a seller-side recommendation
+//! Batch solving: score many candidate tuples against one query log.
+//! This is the deployment shape of a seller-side recommendation
 //! service — one workload, a stream of new listings — and the shape the
 //! paper's experiments take (averages over 100 randomly selected cars).
 
 use soc_data::{QueryLog, Tuple};
-use soc_obs::{counter, sketch};
-use soc_pool::Pool;
+use soc_obs::sketch;
 
 use crate::{SocAlgorithm, SocInstance, Solution};
 
-/// How [`solve_batch_with`] schedules its task groups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Cost-model driven (the default, what [`solve_batch`] uses): run
-    /// on the work-stealing pool when the batch's estimated work clears
-    /// [`INLINE_FLOOR`] per worker *and* the host has more than one
-    /// hardware thread; otherwise execute inline on the calling thread.
-    /// Below the crossover, parallel machinery is pure overhead — the
-    /// inline path is the measured-serial cost plus one cheap estimate.
-    Adaptive,
-    /// Always schedule on the work-stealing pool, regardless of scale.
-    /// Benchmarks use this to measure the machinery head-on (and to
-    /// locate the crossover the adaptive floor is tuned against).
-    ForcePool,
-    /// Always execute inline on the calling thread (the serial
-    /// baseline).
-    ForceSerial,
-}
-
-/// Estimated batch work (in [`plan_groups`] cost units — roughly
-/// "projected attribute widths") below which, per worker thread, the
-/// adaptive policy solves inline. Tuned on the serving scaling grid
-/// (see `BENCH_serving.json` `grid`/`crossover`): at Quick scale a
-/// 10-car projected batch costs ~150 units and measures at single-digit
-/// milliseconds, where pool spawn + queue synchronisation never repaid
-/// themselves on any measured host.
-const INLINE_FLOOR: usize = 192;
-
-/// Solves one instance per tuple (input order is preserved in the
-/// output), scheduling adaptively: batches whose estimated work can pay
-/// for parallelism run across a work-stealing pool; batches below the
-/// crossover (or on single-core hosts, where parallelism cannot pay at
-/// any scale) run inline at plain serial cost.
+/// Solves one instance per tuple, in input order, on the calling thread.
 ///
-/// On the pool path, tuples are grouped into contiguous stealable tasks
-/// by [`plan_groups`]: small instances are batched together so per-task
-/// pool overhead (queue push, steal synchronisation, result routing)
-/// stops dominating when the batch is a stream of tiny instances, while
-/// expensive instances still close their group early and remain
-/// individually stealable — per-instance cost varies by orders of
-/// magnitude across tuples (and algorithms), which starves the static
-/// split of [`solve_batch_chunked`]. The result is identical to the
-/// sequential solve in every slot under every policy; only the schedule
-/// differs.
-///
-/// Algorithms are shared immutably across threads; use
-/// [`crate::SharedMfi`] to share the MFI preprocessing cache as well.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_batch<A>(
-    algorithm: &A,
-    log: &QueryLog,
-    tuples: &[Tuple],
-    m: usize,
-    threads: usize,
-) -> Vec<Solution>
+/// Each solve's latency is recorded in the `serving.instance_us` sketch
+/// when metrics are enabled. Use [`crate::SharedMfi`] to share the MFI
+/// preprocessing cache across the batch.
+pub fn solve_batch<A>(algorithm: &A, log: &QueryLog, tuples: &[Tuple], m: usize) -> Vec<Solution>
 where
-    A: SocAlgorithm + Sync + ?Sized,
+    A: SocAlgorithm + ?Sized,
 {
-    solve_batch_with(algorithm, log, tuples, m, threads, BatchPolicy::Adaptive)
-}
-
-/// [`solve_batch`] with an explicit scheduling policy. Results are
-/// identical across policies; only cost differs.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_batch_with<A>(
-    algorithm: &A,
-    log: &QueryLog,
-    tuples: &[Tuple],
-    m: usize,
-    threads: usize,
-    policy: BatchPolicy,
-) -> Vec<Solution>
-where
-    A: SocAlgorithm + Sync + ?Sized,
-{
-    assert!(threads > 0, "need at least one worker thread");
     if tuples.is_empty() {
         return Vec::new();
     }
     let _span = soc_obs::span("solve_batch");
-    let solve_one = |tuple: &Tuple| {
-        let t0 = soc_obs::metrics_then_now();
-        let solution = algorithm.solve(&SocInstance::new(log, tuple, m));
-        if let Some(t0) = t0 {
-            // A quantile sketch, not a log₂ histogram: tail latencies
-            // (p99/p999) are read off within ~1% relative error instead
-            // of a 2× bucket bound (see soc_obs::QuantileSketch).
-            sketch!("serving.instance_us").record(soc_obs::clock::elapsed_us(t0));
-        }
-        solution
-    };
-    let groups = plan_groups(tuples, threads);
-    let pool_pays = match policy {
-        BatchPolicy::ForcePool => true,
-        BatchPolicy::ForceSerial => false,
-        BatchPolicy::Adaptive => {
-            let total: usize = tuples.iter().map(tuple_cost).sum();
-            threads > 1
-                && groups.len() > 1
-                && host_parallelism() > 1
-                && total >= INLINE_FLOOR * threads
-        }
-    };
-    if !pool_pays {
-        counter!("serving.batch_inline").inc();
-        return tuples.iter().map(solve_one).collect();
-    }
-    counter!("serving.batch_pool").inc();
-    let pool = Pool::new(threads.min(groups.len()));
-    let nested = pool.map(&groups, |group| {
-        tuples[group.clone()]
-            .iter()
-            .map(solve_one)
-            .collect::<Vec<_>>()
-    });
-    nested.into_iter().flatten().collect()
-}
-
-/// Cached `std::thread::available_parallelism` (the syscall shows up in
-/// profiles when every small batch pays it).
-pub(crate) fn host_parallelism() -> usize {
-    use std::sync::OnceLock;
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// The per-tuple cost estimate: `|t| + 1`, the width of the instance
-/// after projection onto the tuple ([`QueryLog::project_onto`] keeps
-/// exactly the attributes of `t`), which is the universe every solver
-/// effectively runs in.
-fn tuple_cost(t: &Tuple) -> usize {
-    t.attrs().count() + 1
-}
-
-/// Splits the batch into contiguous groups, each one stealable pool
-/// task, by accumulated [`tuple_cost`]: a group closes once it holds a
-/// quarter of one thread's fair share. Tiny instances batch up —
-/// roughly `4 × threads` tasks total, enough granularity for stealing
-/// to balance — while a wide tuple blows through the target on its own
-/// and never hides a straggler inside a large batch.
-fn plan_groups(tuples: &[Tuple], threads: usize) -> Vec<std::ops::Range<usize>> {
-    let total: usize = tuples.iter().map(tuple_cost).sum();
-    let target = (total / (threads * 4)).max(1);
-    let mut groups = Vec::new();
-    let mut start = 0;
-    let mut acc = 0;
-    for (i, t) in tuples.iter().enumerate() {
-        acc += tuple_cost(t);
-        if acc >= target {
-            groups.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < tuples.len() {
-        groups.push(start..tuples.len());
-    }
-    groups
-}
-
-/// The pre-PR-2 static path: split the batch into `threads` contiguous
-/// chunks, one scoped thread each. Kept as the differential baseline for
-/// [`solve_batch`] tests and the `batch_serving` bench — stragglers
-/// dominate its wall-clock on skewed workloads.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_batch_chunked<A>(
-    algorithm: &A,
-    log: &QueryLog,
-    tuples: &[Tuple],
-    m: usize,
-    threads: usize,
-) -> Vec<Solution>
-where
-    A: SocAlgorithm + Sync + ?Sized,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    if tuples.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.min(tuples.len());
-    let mut results: Vec<Option<Solution>> = vec![None; tuples.len()];
-    let chunk = tuples.len().div_ceil(threads);
-
-    std::thread::scope(|scope| {
-        for (slot_chunk, tuple_chunk) in results.chunks_mut(chunk).zip(tuples.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, tuple) in slot_chunk.iter_mut().zip(tuple_chunk) {
-                    let inst = SocInstance::new(log, tuple, m);
-                    *slot = Some(algorithm.solve(&inst));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by its worker"))
+    tuples
+        .iter()
+        .map(|tuple| {
+            let t0 = soc_obs::metrics_then_now();
+            let solution = algorithm.solve(&SocInstance::new(log, tuple, m));
+            if let Some(t0) = t0 {
+                // A quantile sketch, not a log₂ histogram: tail latencies
+                // (p99/p999) are read off within ~1% relative error instead
+                // of a 2× bucket bound (see soc_obs::QuantileSketch).
+                sketch!("serving.instance_us").record(soc_obs::clock::elapsed_us(t0));
+            }
+            solution
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BruteForce, ConsumeAttr, LocalSearch, MfiSolver, SharedMfi};
+    use crate::{BruteForce, ConsumeAttr, MfiSolver, SharedMfi};
     use soc_data::{AttrSet, QueryLog};
 
     fn setup() -> (QueryLog, Vec<Tuple>) {
@@ -238,154 +60,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let (log, tuples) = setup();
-        for threads in [1, 2, 4, 16] {
-            for policy in [
-                BatchPolicy::Adaptive,
-                BatchPolicy::ForcePool,
-                BatchPolicy::ForceSerial,
-            ] {
-                let batch = solve_batch_with(&BruteForce, &log, &tuples, 3, threads, policy);
-                assert_eq!(batch.len(), tuples.len());
-                for (tuple, sol) in tuples.iter().zip(&batch) {
-                    let seq = BruteForce.solve(&SocInstance::new(&log, tuple, 3));
-                    assert_eq!(
-                        sol.satisfied, seq.satisfied,
-                        "threads = {threads}, {policy:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_result_order_matches_sequential_order() {
+    fn batch_matches_sequential_slot_by_slot() {
         // Deterministic solutions (BruteForce) let us compare retained
-        // sets slot by slot, proving every result landed in the slot of
-        // the tuple that produced it regardless of who stole what.
-        // ForcePool so the pool path is exercised even on single-core
-        // hosts, where the adaptive policy would solve inline.
+        // sets slot by slot: every result sits in the slot of the tuple
+        // that produced it.
         let (log, tuples) = setup();
-        let sequential: Vec<Solution> = tuples
-            .iter()
-            .map(|t| BruteForce.solve(&SocInstance::new(&log, t, 3)))
-            .collect();
-        for threads in [2, 4, 7] {
-            let batch = solve_batch_with(
-                &BruteForce,
-                &log,
-                &tuples,
-                3,
-                threads,
-                BatchPolicy::ForcePool,
-            );
-            for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {
-                assert_eq!(got.retained, want.retained, "slot {i}, threads {threads}");
-                assert_eq!(got.satisfied, want.satisfied);
-            }
-        }
-    }
-
-    #[test]
-    fn more_threads_than_tuples() {
-        let (log, tuples) = setup();
-        let few = &tuples[..3];
-        let batch = solve_batch(&BruteForce, &log, few, 3, 32);
-        assert_eq!(batch.len(), 3);
-        for (tuple, sol) in few.iter().zip(&batch) {
+        let batch = solve_batch(&BruteForce, &log, &tuples, 3);
+        assert_eq!(batch.len(), tuples.len());
+        for (i, (tuple, sol)) in tuples.iter().zip(&batch).enumerate() {
             let seq = BruteForce.solve(&SocInstance::new(&log, tuple, 3));
-            assert_eq!(sol.retained, seq.retained);
-        }
-    }
-
-    #[test]
-    fn skewed_cost_workload_stays_correct_and_ordered() {
-        // First tuples are wide (expensive LocalSearch instances), the
-        // tail is cheap — the shape that straggles under static chunking
-        // because one chunk holds all the expensive work.
-        let log = QueryLog::from_bitstrings(&[
-            "11000000000000",
-            "00110000000000",
-            "00001100000000",
-            "00000011000000",
-            "00000000110000",
-            "00000000001100",
-            "10000000000010",
-            "01000000000001",
-        ])
-        .unwrap();
-        let mut tuples = vec![Tuple::new(AttrSet::full(14)); 4];
-        tuples.extend((0..20).map(|i| Tuple::new(AttrSet::from_indices(14, [i % 14]))));
-        let algo = LocalSearch::default();
-        let stealing = solve_batch_with(&algo, &log, &tuples, 5, 4, BatchPolicy::ForcePool);
-        let chunked = solve_batch_chunked(&algo, &log, &tuples, 5, 4);
-        assert_eq!(stealing.len(), chunked.len());
-        for (i, (a, b)) in stealing.iter().zip(&chunked).enumerate() {
-            assert_eq!(a.retained, b.retained, "slot {i}");
-            assert_eq!(a.satisfied, b.satisfied, "slot {i}");
-        }
-    }
-
-    #[test]
-    fn chunked_and_stealing_agree() {
-        let (log, tuples) = setup();
-        for threads in [1, 3, 8] {
-            let a = solve_batch_with(
-                &BruteForce,
-                &log,
-                &tuples,
-                2,
-                threads,
-                BatchPolicy::ForcePool,
-            );
-            let b = solve_batch_chunked(&BruteForce, &log, &tuples, 2, threads);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.retained, y.retained);
-                assert_eq!(x.satisfied, y.satisfied);
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_boundary_mixed_batch_matches_chunked() {
-        // The adaptive-grouping boundary case: one huge instance among a
-        // stream of tiny ones, sized to straddle the inline floor. Both
-        // sides of the floor (and both scheduling outcomes) must produce
-        // results and ordering identical to the static chunked split.
-        let log = QueryLog::from_bitstrings(&[
-            "11000000000000",
-            "00110000000000",
-            "00001100000000",
-            "00000011000000",
-            "00000000110000",
-            "00000000001100",
-            "10000000000010",
-            "01000000000001",
-        ])
-        .unwrap();
-        // 40 tiny tuples (cost 2 each) + 1 full-width tuple: total cost
-        // ~95 — below the floor at 2 threads, above nothing; then a
-        // repetition factor pushes a second batch over the floor.
-        let mut small: Vec<Tuple> = (0..40)
-            .map(|i| Tuple::new(AttrSet::from_indices(14, [i % 14])))
-            .collect();
-        small.insert(17, Tuple::new(AttrSet::full(14)));
-        let mut big = small.clone();
-        for rep in 0..12 {
-            big.extend(small.iter().cloned());
-            big.insert(rep * 3, Tuple::new(AttrSet::full(14)));
-        }
-        let algo = LocalSearch::default();
-        for tuples in [&small, &big] {
-            let adaptive = solve_batch(&algo, &log, tuples, 5, 4);
-            let chunked = solve_batch_chunked(&algo, &log, tuples, 5, 4);
-            assert_eq!(adaptive.len(), chunked.len());
-            for (i, (a, b)) in adaptive.iter().zip(&chunked).enumerate() {
-                assert_eq!(a.retained, b.retained, "slot {i} ({} tuples)", tuples.len());
-                assert_eq!(a.satisfied, b.satisfied, "slot {i}");
-            }
+            assert_eq!(sol.retained, seq.retained, "slot {i}");
+            assert_eq!(sol.satisfied, seq.satisfied, "slot {i}");
         }
     }
 
@@ -394,7 +79,7 @@ mod tests {
         let (log, tuples) = setup();
         let shared = SharedMfi::new(MfiSolver::default());
         shared.prime(&log);
-        let batch = solve_batch(&shared, &log, &tuples, 3, 4);
+        let batch = solve_batch(&shared, &log, &tuples, 3);
         for (tuple, sol) in tuples.iter().zip(&batch) {
             let want = BruteForce.solve(&SocInstance::new(&log, tuple, 3));
             assert_eq!(sol.satisfied, want.satisfied);
@@ -405,92 +90,15 @@ mod tests {
     #[test]
     fn greedy_batch() {
         let (log, tuples) = setup();
-        let batch = solve_batch(&ConsumeAttr, &log, &tuples, 2, 3);
+        let batch = solve_batch(&ConsumeAttr, &log, &tuples, 2);
         for sol in &batch {
             assert!(sol.retained.count() <= 2);
         }
     }
 
     #[test]
-    fn plan_groups_is_an_ordered_partition() {
-        let tuples: Vec<Tuple> = (0..57)
-            .map(|i| Tuple::new(AttrSet::from_indices(10, [i % 10])))
-            .collect();
-        for threads in [1, 2, 4, 13] {
-            let groups = plan_groups(&tuples, threads);
-            assert!(!groups.is_empty());
-            let mut next = 0;
-            for g in &groups {
-                assert_eq!(g.start, next, "groups must tile the batch in order");
-                assert!(g.end > g.start, "no empty groups");
-                next = g.end;
-            }
-            assert_eq!(next, tuples.len());
-        }
-    }
-
-    #[test]
-    fn plan_groups_batches_small_and_isolates_wide() {
-        // 64 one-attribute tuples plus 2 full-width tuples, 4 threads:
-        // the tiny tuples must share tasks (fewer groups than tuples)
-        // and a wide tuple must close its group at once, so the group
-        // containing a wide tuple never extends past it.
-        let mut tuples: Vec<Tuple> = (0..32)
-            .map(|i| Tuple::new(AttrSet::from_indices(24, [i % 24])))
-            .collect();
-        tuples.push(Tuple::new(AttrSet::full(24)));
-        tuples.extend((0..32).map(|i| Tuple::new(AttrSet::from_indices(24, [i % 24]))));
-        tuples.push(Tuple::new(AttrSet::full(24)));
-        let groups = plan_groups(&tuples, 4);
-        assert!(
-            groups.len() < tuples.len(),
-            "small instances must batch: {} groups for {} tuples",
-            groups.len(),
-            tuples.len()
-        );
-        for (i, t) in tuples.iter().enumerate() {
-            if t.attrs().count() == 24 {
-                let g = groups.iter().find(|g| g.contains(&i)).unwrap();
-                assert_eq!(g.end, i + 1, "wide tuple at {i} must close its group");
-            }
-        }
-    }
-
-    #[test]
-    fn many_tiny_tuples_match_sequential() {
-        // The shape the grouping targets: a long stream of cheap
-        // instances. Results must still land slot-for-slot.
-        let (log, _) = setup();
-        let tuples: Vec<Tuple> = (0..100)
-            .map(|i| Tuple::new(AttrSet::from_indices(6, [i % 6, (i / 6) % 6])))
-            .collect();
-        let batch = solve_batch(&BruteForce, &log, &tuples, 2, 3);
-        assert_eq!(batch.len(), tuples.len());
-        for (tuple, sol) in tuples.iter().zip(&batch) {
-            let seq = BruteForce.solve(&SocInstance::new(&log, tuple, 2));
-            assert_eq!(sol.retained, seq.retained);
-            assert_eq!(sol.satisfied, seq.satisfied);
-        }
-    }
-
-    #[test]
     fn empty_input() {
         let (log, _) = setup();
-        assert!(solve_batch(&BruteForce, &log, &[], 3, 4).is_empty());
-        assert!(solve_batch_chunked(&BruteForce, &log, &[], 3, 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn zero_threads_panics() {
-        let (log, tuples) = setup();
-        let _ = solve_batch(&BruteForce, &log, &tuples, 3, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn chunked_zero_threads_panics() {
-        let (log, tuples) = setup();
-        let _ = solve_batch_chunked(&BruteForce, &log, &tuples, 3, 0);
+        assert!(solve_batch(&BruteForce, &log, &[], 3).is_empty());
     }
 }

@@ -48,7 +48,7 @@ mod reduce;
 mod sketch;
 pub mod variants;
 
-pub use batch::{solve_batch, solve_batch_chunked, solve_batch_with, BatchPolicy};
+pub use batch::solve_batch;
 pub use brute_force::BruteForce;
 pub use greedy::{ConsumeAttr, ConsumeAttrCumul, ConsumeQueries};
 pub use ilp::IlpSolver;

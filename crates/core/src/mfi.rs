@@ -59,19 +59,6 @@ pub struct MfiSolver {
     pub min_iterations: usize,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for random-walk mining. `1` (the default) runs the
-    /// classic serial miner; larger values fan the walks out over scoped
-    /// threads with per-worker RNG streams and an asynchronous stream
-    /// merge — still deterministic, given `(seed, workers)`. Ignored by
-    /// the backtracking miner.
-    pub workers: usize,
-    /// When true (the default), degrade `workers` to `1` whenever the
-    /// host has a single hardware thread or the log is too small
-    /// (`num_attrs × len` below [`PARALLEL_MINE_FLOOR`]) for thread
-    /// spawning to pay for itself. Set to `false` to force the
-    /// configured worker count regardless of host or workload — useful
-    /// for differential tests and the scaling grid.
-    pub adaptive: bool,
     /// Cap on candidate compressions scored per threshold attempt. The
     /// attempt scan enumerates every level-`(M − m)` subset of each
     /// qualifying maximal itemset — `C(width, M − m)` candidates, which
@@ -86,13 +73,6 @@ pub struct MfiSolver {
     pub attempt_budget: usize,
 }
 
-/// Below this estimated mining work (`log.num_attrs() × log.len()`), an
-/// adaptive [`MfiSolver`] mines serially no matter how many workers were
-/// configured: a walk over a narrow or short log completes in far less
-/// time than spawning threads costs. Tuned on the serving scaling grid
-/// (EXPERIMENTS.md).
-pub const PARALLEL_MINE_FLOOR: usize = 32_768;
-
 impl Default for MfiSolver {
     fn default() -> Self {
         Self {
@@ -103,8 +83,6 @@ impl Default for MfiSolver {
             max_iterations: 5_000,
             min_iterations: 64,
             seed: 0x5eed_50c0,
-            workers: 1,
-            adaptive: true,
             attempt_budget: 1 << 18,
         }
     }
@@ -141,24 +119,6 @@ impl MfiPreprocessed {
 }
 
 impl MfiSolver {
-    /// The worker count mining will actually use for `log`: the
-    /// configured `workers`, degraded to `1` by the adaptive cost model
-    /// when the host is single-threaded or the log is below
-    /// [`PARALLEL_MINE_FLOOR`].
-    pub fn effective_workers(&self, log: &QueryLog) -> usize {
-        let workers = self.workers.max(1);
-        if !self.adaptive || workers == 1 {
-            return workers;
-        }
-        if crate::batch::host_parallelism() == 1 {
-            return 1; // no second core to run a second walk stream
-        }
-        if log.num_attrs().saturating_mul(log.len()) < PARALLEL_MINE_FLOOR {
-            return 1; // mining finishes before thread spawning pays off
-        }
-        workers
-    }
-
     /// Mines the maximal frequent itemsets of `~Q` at `threshold`.
     pub fn mine(&self, log: &QueryLog, threshold: usize) -> Vec<FrequentItemset> {
         let oracle = ComplementedLog::new(log);
@@ -171,14 +131,8 @@ impl MfiSolver {
                     direction: self.direction,
                     stop: self.stop,
                 });
-                let mine_seed = self.seed ^ threshold as u64;
-                let workers = self.effective_workers(log);
-                if workers > 1 {
-                    miner.mine_parallel(&oracle, mine_seed, workers).itemsets
-                } else {
-                    let mut rng = StdRng::seed_from_u64(mine_seed);
-                    miner.mine(&oracle, &mut rng).itemsets
-                }
+                let mut rng = StdRng::seed_from_u64(self.seed ^ threshold as u64);
+                miner.mine(&oracle, &mut rng).itemsets
             }
             MinerKind::Backtracking => {
                 backtracking_mfi(&oracle, threshold, &BacktrackLimits::default())
@@ -592,95 +546,6 @@ mod tests {
         let sol = MfiSolver::default().solve(&inst);
         assert_eq!(sol.satisfied, 0);
         assert!(sol.retained.count() <= 1);
-    }
-}
-
-#[cfg(test)]
-mod parallel_mining_tests {
-    use super::*;
-    use crate::BruteForce;
-    use soc_data::Tuple;
-
-    fn workload(seed: u64, num_queries: usize, m_attrs: usize) -> QueryLog {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sets = Vec::with_capacity(num_queries);
-        for _ in 0..num_queries {
-            let len = rng.random_range(1..=3usize);
-            let mut attrs = AttrSet::empty(m_attrs);
-            while attrs.count() < len {
-                attrs.insert(rng.random_range(0..m_attrs));
-            }
-            sets.push(attrs);
-        }
-        QueryLog::from_attr_sets(m_attrs, sets)
-    }
-
-    #[test]
-    fn parallel_solver_objective_matches_serial_and_brute_force() {
-        let log = workload(5, 24, 9);
-        let generous = |workers| MfiSolver {
-            stop: soc_itemsets::StopRule::FixedIterations(1500),
-            max_iterations: 2000,
-            workers,
-            adaptive: false, // force the parallel path even on 1-core hosts
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..4 {
-            let t = Tuple::new(AttrSet::from_indices(9, (0..9).filter(|_| rng.random())));
-            for m in [1, 3, 5] {
-                let inst = SocInstance::new(&log, &t, m);
-                let want = BruteForce.solve(&inst).satisfied;
-                let serial = generous(1).solve(&inst);
-                let parallel = generous(4).solve(&inst);
-                assert_eq!(serial.satisfied, want, "serial missed the optimum, m {m}");
-                assert_eq!(
-                    parallel.satisfied, want,
-                    "parallel missed the optimum, m {m}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_solver_is_deterministic_given_workers() {
-        let log = workload(9, 30, 10);
-        let t = Tuple::from_bitstring("1101101101").unwrap();
-        let inst = SocInstance::new(&log, &t, 4);
-        for workers in [2, 4] {
-            let solver = MfiSolver {
-                workers,
-                adaptive: false, // force the parallel path even on 1-core hosts
-                ..Default::default()
-            };
-            let a = solver.solve(&inst);
-            let b = solver.solve(&inst);
-            assert_eq!(a.retained, b.retained, "workers {workers}");
-            assert_eq!(a.satisfied, b.satisfied);
-        }
-    }
-
-    #[test]
-    fn shared_mfi_honors_parallel_mining() {
-        let log = workload(13, 20, 8);
-        let t = Tuple::from_bitstring("11011011").unwrap();
-        let inst = SocInstance::new(&log, &t, 3);
-        let shared = SharedMfi::new(MfiSolver {
-            workers: 3,
-            adaptive: false,
-            ..Default::default()
-        });
-        shared.prime(&log);
-        assert!(shared.cached_thresholds() >= 1);
-        let sol = shared.solve(&inst);
-        let direct = MfiSolver {
-            workers: 3,
-            adaptive: false,
-            ..Default::default()
-        }
-        .solve(&inst);
-        assert_eq!(sol.retained, direct.retained);
-        assert_eq!(sol.satisfied, direct.satisfied);
     }
 }
 

@@ -65,7 +65,7 @@ fn mine_all() -> Vec<Vec<soc_itemsets::FrequentItemset>> {
 fn batch_all() -> Vec<Solution> {
     let (log, _) = random_instance(7, 30);
     let tuples: Vec<Tuple> = (0..8u64).map(|s| random_instance(s + 50, 1).1).collect();
-    solve_batch(&IlpSolver::default(), &log, &tuples, 4, 3)
+    solve_batch(&IlpSolver::default(), &log, &tuples, 4)
 }
 
 #[test]

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use soc_data::AttrSet;
-use soc_obs::{counter, histogram};
+use soc_obs::counter;
 use soc_rng::StdRng;
 
 use crate::{FrequentItemset, SupportCounter};
@@ -312,291 +312,6 @@ impl MfiMiner {
     }
 }
 
-/// Walks per worker chunk in [`MfiMiner::mine_parallel`]. Large enough
-/// to amortize buffer handoff, small enough that the merged stop rule is
-/// evaluated often.
-const WALKS_PER_CHUNK: usize = 8;
-
-/// One worker's fixed-budget batch of walk results, identified by its
-/// `(round, worker)` stream position.
-struct WalkChunk {
-    found: Vec<(AttrSet, usize)>,
-    stats: WalkStats,
-}
-
-/// The deterministic walk schedule: how many walks worker `j` performs
-/// in chunk round `round`, given a total budget of `target` walks over
-/// `workers` streams. Depends on nothing but its arguments — never on
-/// timing — so every worker and the coordinator can evaluate it
-/// independently without synchronising.
-fn chunk_walks(target: usize, workers: usize, round: usize, j: usize) -> usize {
-    let scheduled_before = round.saturating_mul(workers * WALKS_PER_CHUNK);
-    let round_total = target
-        .saturating_sub(scheduled_before)
-        .min(workers * WALKS_PER_CHUNK);
-    let (base, extra) = (round_total / workers, round_total % workers);
-    base + usize::from(j < extra)
-}
-
-/// Accumulates merged chunks in stream order and evaluates the stop rule
-/// on the merged stream — shared by the threaded and the single-worker
-/// inline paths of [`MfiMiner::mine_parallel`] so both see bit-identical
-/// merge semantics.
-struct MergeState {
-    seen: HashMap<AttrSet, (usize, usize)>,
-    stats: WalkStats,
-    iterations: usize,
-}
-
-impl MergeState {
-    fn new() -> Self {
-        Self {
-            seen: HashMap::new(),
-            stats: WalkStats::default(),
-            iterations: 0,
-        }
-    }
-
-    /// Folds one chunk in; returns true when the stop rule now holds.
-    fn merge(&mut self, chunk: WalkChunk, cfg: &MfiConfig) -> bool {
-        self.iterations += chunk.found.len();
-        self.stats.down_steps += chunk.stats.down_steps;
-        self.stats.up_steps += chunk.stats.up_steps;
-        self.stats.support_calls += chunk.stats.support_calls;
-        for (mfi, support) in chunk.found {
-            self.seen.entry(mfi).or_insert((support, 0)).1 += 1;
-        }
-        counter!("mfi.chunks_merged").inc();
-        match cfg.stop {
-            StopRule::SeenTwice => {
-                self.iterations >= cfg.min_iterations.max(1)
-                    && self.seen.values().all(|&(_, c)| c >= 2)
-            }
-            StopRule::FixedIterations(n) => self.iterations >= n && n < cfg.max_iterations,
-        }
-    }
-
-    fn into_result(self, converged: bool) -> MfiResult {
-        let mut itemsets = Vec::with_capacity(self.seen.len());
-        let mut times = Vec::with_capacity(self.seen.len());
-        let mut entries: Vec<(AttrSet, (usize, usize))> = self.seen.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0)); // same order as the serial miner
-        for (items, (support, count)) in entries {
-            itemsets.push(FrequentItemset { items, support });
-            times.push(count);
-        }
-        let result = MfiResult {
-            itemsets,
-            times_discovered: times,
-            iterations: self.iterations,
-            converged,
-            stats: self.stats,
-        };
-        publish_run_metrics(&result);
-        result
-    }
-}
-
-impl MfiMiner {
-    /// Runs one fixed-budget chunk of walks on `rng`.
-    fn run_chunk<S: SupportCounter>(&self, data: &S, rng: &mut StdRng, walks: usize) -> WalkChunk {
-        let cfg = &self.config;
-        let mut found: Vec<(AttrSet, usize)> = Vec::with_capacity(walks);
-        let mut stats = WalkStats::default();
-        for _ in 0..walks {
-            let (mfi, s) = match cfg.direction {
-                WalkDirection::TopDown => top_down_walk(data, cfg.threshold, rng),
-                WalkDirection::BottomUp => bottom_up_walk(data, cfg.threshold, rng),
-            };
-            stats.down_steps += s.down_steps;
-            stats.up_steps += s.up_steps;
-            stats.support_calls += s.support_calls;
-            let mfi = mfi.expect("threshold <= total_support was checked upfront");
-            let support = data.support(&mfi);
-            found.push((mfi, support));
-        }
-        WalkChunk { found, stats }
-    }
-
-    /// Runs the repeated walk across `workers` threads with an
-    /// **asynchronous stream merge**: there is no stop-the-world round
-    /// barrier. Each worker races ahead through its own fixed-budget
-    /// chunk schedule and deposits finished chunks into a shared ordered
-    /// buffer; the calling thread merges chunks strictly in
-    /// `(round, worker)` stream order *as they arrive* and evaluates the
-    /// duplicate-seen stop rule on the merged stream after every chunk.
-    /// When it fires, a stop flag drains the workers; chunks past the
-    /// stop point are discarded (counted in `mfi.walks_discarded`), so
-    /// wasted work costs time, never determinism.
-    ///
-    /// Determinism rules (documented in DESIGN.md):
-    ///
-    /// - worker `j` draws from its own [`StdRng::stream`]`(seed, j)` —
-    ///   no worker ever touches another's generator;
-    /// - chunk sizes come from [`chunk_walks`], a pure function of the
-    ///   budget — never from timing;
-    /// - the merge consumes chunks in `(round, worker)`-lexicographic
-    ///   order no matter their arrival order, and the stop rule is
-    ///   evaluated only on that merged prefix.
-    ///
-    /// Consequently the result depends only on `(seed, workers)` — never
-    /// on scheduling — and `workers == 1` runs inline (no threads, no
-    /// buffers) yet produces the byte-identical result the threaded path
-    /// would.
-    pub fn mine_parallel<S: SupportCounter + Sync>(
-        &self,
-        data: &S,
-        seed: u64,
-        workers: usize,
-    ) -> MfiResult {
-        assert!(workers > 0, "need at least one mining worker");
-        let _span = soc_obs::span("mine_mfi");
-        let cfg = &self.config;
-        let mut merged = MergeState::new();
-
-        // Nothing (not even ∅) is frequent: every walk would report None,
-        // matching the serial miner's immediate empty-and-converged exit.
-        if cfg.threshold > data.total_support() {
-            return merged.into_result(true);
-        }
-        let target = match cfg.stop {
-            StopRule::FixedIterations(n) => n.min(cfg.max_iterations),
-            StopRule::SeenTwice => cfg.max_iterations,
-        };
-
-        if workers == 1 {
-            // Inline fast path: chunk, merge, re-check — the same
-            // chunk-granularity stop evaluation as the threaded merge.
-            let mut rng = StdRng::stream(seed, 0);
-            let mut converged = false;
-            for round in 0.. {
-                let walks = chunk_walks(target, 1, round, 0);
-                if walks == 0 || converged {
-                    break;
-                }
-                let chunk = self.run_chunk(data, &mut rng, walks);
-                converged = merged.merge(chunk, cfg);
-            }
-            return merged.into_result(converged);
-        }
-
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::{Condvar, Mutex};
-
-        struct Buffers {
-            /// Finished chunks not yet merged, keyed by stream position.
-            ready: Mutex<std::collections::BTreeMap<(usize, usize), WalkChunk>>,
-            /// Signals the coordinator that a chunk arrived.
-            arrived: Condvar,
-            /// Set by the coordinator once the stop rule fired (or the
-            /// schedule is exhausted); workers drain out at their next
-            /// chunk boundary.
-            stop: AtomicBool,
-        }
-        let buffers = Buffers {
-            ready: Mutex::new(std::collections::BTreeMap::new()),
-            arrived: Condvar::new(),
-            stop: AtomicBool::new(false),
-        };
-
-        // Hand the caller's trace context (request id + the open
-        // `mine_mfi` span) to the walk workers so their spans stitch
-        // under this mine call across threads.
-        let ctx = soc_obs::current_ctx();
-        let converged = std::thread::scope(|scope| {
-            for j in 1..workers {
-                let buffers = &buffers;
-                scope.spawn(move || {
-                    let _ctx = soc_obs::ctx_guard(ctx);
-                    let _span = soc_obs::span("mine_worker");
-                    let mut rng = StdRng::stream(seed, j as u64);
-                    for round in 0.. {
-                        let walks = chunk_walks(target, workers, round, j);
-                        if walks == 0 || buffers.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let chunk = self.run_chunk(data, &mut rng, walks);
-                        let mut ready = buffers.ready.lock().expect("chunk buffer poisoned");
-                        ready.insert((round, j), chunk);
-                        drop(ready);
-                        buffers.arrived.notify_all();
-                    }
-                });
-            }
-
-            // The calling thread doubles as worker 0 *and* coordinator:
-            // it walks its own chunks, then merges everything that is
-            // ready in stream order, blocking only when the next chunk in
-            // stream order is still being walked by a peer.
-            let mut rng = StdRng::stream(seed, 0);
-            let mut converged = false;
-            let mut next = (0usize, 0usize); // next (round, worker) to merge
-            'mine: for round in 0.. {
-                let walks = chunk_walks(target, workers, round, 0);
-                if walks == 0 {
-                    break;
-                }
-                let own = self.run_chunk(data, &mut rng, walks);
-                {
-                    let mut ready = buffers.ready.lock().expect("chunk buffer poisoned");
-                    ready.insert((round, 0), own);
-                }
-                // Merge every chunk that is ready *and* next in stream
-                // order. Chunks merge as they arrive — no barrier: worker
-                // 0 proceeds to its round r+1 chunk even while slower
-                // peers still owe chunks from round r.
-                loop {
-                    let mut ready = buffers.ready.lock().expect("chunk buffer poisoned");
-                    let chunk = loop {
-                        if let Some(chunk) = ready.remove(&next) {
-                            // Buffered-but-unmergeable chunks measure how
-                            // far arrival order ran ahead of stream order.
-                            histogram!("mfi.merge_lag").record(ready.len() as u64);
-                            break chunk;
-                        }
-                        if next.0 > round {
-                            // The next chunk in stream order is ours to
-                            // produce: go walk it.
-                            drop(ready);
-                            continue 'mine;
-                        }
-                        // A peer still owes this chunk. It is scheduled
-                        // (its round <= our round <= last scheduled
-                        // round) and the stop flag is still clear, so the
-                        // peer is guaranteed to deliver: wait, don't spin.
-                        ready = buffers.arrived.wait(ready).expect("chunk buffer poisoned");
-                    };
-                    drop(ready);
-                    converged = merged.merge(chunk, cfg);
-                    if converged {
-                        break 'mine;
-                    }
-                    next = if next.1 + 1 < workers {
-                        (next.0, next.1 + 1)
-                    } else {
-                        (next.0 + 1, 0)
-                    };
-                    if chunk_walks(target, workers, next.0, next.1) == 0 {
-                        // Schedule exhausted and every chunk merged.
-                        break 'mine;
-                    }
-                }
-            }
-            buffers.stop.store(true, Ordering::Release);
-            converged
-        });
-
-        // Chunks walked past the stop point are deterministic waste:
-        // account for them so the scaling grid can see over-mining.
-        if soc_obs::metrics_enabled() {
-            let leftover = buffers.ready.lock().expect("chunk buffer poisoned");
-            let wasted: usize = leftover.values().map(|c| c.found.len()).sum();
-            counter!("mfi.walks_discarded").add(wasted as u64);
-        }
-        merged.into_result(converged)
-    }
-}
-
 /// Exhaustive MFI enumeration — test oracle for tiny universes.
 ///
 /// # Panics
@@ -761,132 +476,5 @@ mod tests {
         let (r, stats) = top_down_walk(&t, 2, &mut rng);
         assert_eq!(r.unwrap(), AttrSet::full(4));
         assert_eq!(stats.down_steps, 0);
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::TransactionSet;
-
-    fn sample() -> TransactionSet {
-        TransactionSet::new(
-            6,
-            vec![
-                AttrSet::from_indices(6, [0, 1, 2, 3]),
-                AttrSet::from_indices(6, [0, 1, 2]),
-                AttrSet::from_indices(6, [0, 1, 4]),
-                AttrSet::from_indices(6, [2, 3, 4]),
-                AttrSet::from_indices(6, [0, 1, 2, 3, 4]),
-            ],
-        )
-    }
-
-    fn canon(mut v: Vec<FrequentItemset>) -> Vec<String> {
-        v.sort_by_key(|f| f.items.to_bitstring());
-        v.into_iter().map(|f| f.items.to_bitstring()).collect()
-    }
-
-    fn miner(threshold: usize, stop: StopRule) -> MfiMiner {
-        MfiMiner::new(MfiConfig {
-            threshold,
-            max_iterations: 2_000,
-            min_iterations: 1,
-            direction: WalkDirection::TopDown,
-            stop,
-        })
-    }
-
-    #[test]
-    fn parallel_discovers_all_mfis() {
-        let t = sample();
-        for threshold in 1..=3 {
-            let expected = canon(enumerate_maximal(&t, threshold));
-            let result = miner(threshold, StopRule::FixedIterations(500)).mine_parallel(&t, 42, 4);
-            assert!(result.converged);
-            assert_eq!(result.iterations, 500);
-            assert_eq!(canon(result.itemsets), expected, "threshold {threshold}");
-        }
-    }
-
-    /// The determinism contract of the async merge: for a fixed
-    /// `(seed, workers)` the full result — itemsets, discovery counts,
-    /// iteration count, convergence flag, walk statistics — is
-    /// bit-identical across repeated runs, no matter how the OS
-    /// schedules the worker threads.
-    #[test]
-    fn parallel_is_deterministic_given_seed_and_workers() {
-        let t = sample();
-        for workers in [1, 2, 4] {
-            let run = || miner(2, StopRule::SeenTwice).mine_parallel(&t, 0x000D_5EED, workers);
-            let first = run();
-            for _ in 0..2 {
-                let again = run();
-                assert_eq!(
-                    canon(first.itemsets.clone()),
-                    canon(again.itemsets.clone()),
-                    "workers {workers}"
-                );
-                assert_eq!(first.times_discovered, again.times_discovered);
-                assert_eq!(first.iterations, again.iterations);
-                assert_eq!(first.converged, again.converged);
-                assert_eq!(first.stats, again.stats);
-            }
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_itemsets() {
-        let t = sample();
-        let with_workers = |w: usize| {
-            canon(
-                miner(2, StopRule::FixedIterations(400))
-                    .mine_parallel(&t, 7, w)
-                    .itemsets,
-            )
-        };
-        // Discovery counts differ across worker counts, but a generous
-        // budget makes the discovered *set* complete either way.
-        assert_eq!(with_workers(1), with_workers(4));
-    }
-
-    #[test]
-    fn parallel_seen_twice_converges() {
-        let t = sample();
-        let result = miner(2, StopRule::SeenTwice).mine_parallel(&t, 3, 3);
-        assert!(result.converged);
-        assert!(result.times_discovered.iter().all(|&c| c >= 2));
-        assert!((result.unseen_mass_estimate() - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_impossible_threshold_reports_empty() {
-        let t = sample();
-        let result = miner(100, StopRule::SeenTwice).mine_parallel(&t, 1, 2);
-        assert!(result.itemsets.is_empty());
-        assert!(result.converged);
-        assert_eq!(result.iterations, 0);
-    }
-
-    /// The deterministic chunk schedule must cover the budget exactly:
-    /// summed over workers and rounds it equals the target, and it is
-    /// zero forever after exhaustion.
-    #[test]
-    fn chunk_schedule_partitions_the_budget() {
-        for workers in [1, 2, 3, 4, 7] {
-            for target in [0, 1, 5, 8, 17, 64, 500] {
-                let mut total = 0;
-                for round in 0..=(target / WALKS_PER_CHUNK + 2) {
-                    for j in 0..workers {
-                        total += chunk_walks(target, workers, round, j);
-                    }
-                }
-                assert_eq!(total, target, "workers {workers} target {target}");
-                let spent_rounds = target / (workers * WALKS_PER_CHUNK) + 2;
-                for j in 0..workers {
-                    assert_eq!(chunk_walks(target, workers, spent_rounds, j), 0);
-                }
-            }
-        }
     }
 }

@@ -42,7 +42,7 @@
 //! ## Naming convention
 //!
 //! Dotted lowercase paths, `subsystem.metric[_unit]`:
-//! `pool.tasks_stolen`, `solver.lp_us`, `serving.instance_us`. Metric
+//! `pool.service.executed`, `solver.lp_us`, `serving.instance_us`. Metric
 //! names are `&'static str` and registered once; re-registering the same
 //! name with a different kind panics (it is a programming error).
 

@@ -27,7 +27,7 @@
 //! Buffers flush to the global collector (a Treiber-stack of record
 //! chunks, push = one CAS, no locks) when (a) the thread's outermost
 //! span closes, (b) the buffer exceeds a size cap, or (c) the thread
-//! exits (TLS destructor) — so scoped pool workers flush automatically
+//! exits (TLS destructor) — so scoped worker threads flush automatically
 //! at scope join. [`drain_spans`] flushes the calling thread, then swaps
 //! the whole stack out and returns every record sorted by
 //! `(thread, start)`. Spans still open, or buffered on other
@@ -112,7 +112,7 @@ impl ThreadSpans {
 impl Drop for ThreadSpans {
     fn drop(&mut self) {
         // Thread exit: whatever is buffered reaches the collector, so
-        // scoped pool workers need no explicit flush call.
+        // scoped worker threads need no explicit flush call.
         self.flush();
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrency contract of the metrics layer: hammer one counter and
-//! one histogram from the workers of a real `soc_pool::Pool` and assert
-//! *exact* totals after the pool joins — the registry's "flush" is the
-//! join's happens-before edge (see the soc-obs module docs), so sharded
+//! one histogram from scoped worker threads and assert *exact* totals
+//! after the scope joins — the registry's "flush" is the join's
+//! happens-before edge (see the soc-obs module docs), so sharded
 //! relaxed increments must still sum to the true count.
 //!
 //! This lives in an integration test (own process), so enabling the
@@ -10,7 +10,30 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use soc_pool::Pool;
+/// Computes `f(i)` for every `i in 0..tasks` on `threads` scoped threads
+/// (task `i` runs on thread `i % threads`) and returns the results in
+/// index order. The scope's join happens before this returns.
+fn map_on_threads<T: Send>(threads: usize, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|j| {
+                let f = &f;
+                scope.spawn(move || {
+                    (j..tasks)
+                        .step_by(threads)
+                        .map(|i| (i, f(i)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    out.sort_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, v)| v).collect()
+}
 
 /// Metric tests reset the process-global registry; serialize them so a
 /// reset in one cannot wipe another's counts mid-hammer.
@@ -22,7 +45,7 @@ fn metrics_lock() -> MutexGuard<'static, ()> {
 }
 
 #[test]
-fn pool_hammer_totals_are_exact() {
+fn thread_hammer_totals_are_exact() {
     let _serial = metrics_lock();
     soc_obs::enable_metrics();
     let c = soc_obs::counter!("test.conc.hammer_counter");
@@ -32,7 +55,7 @@ fn pool_hammer_totals_are_exact() {
     const OPS_PER_TASK: usize = 1_000;
     for threads in [1, 4, 13] {
         soc_obs::reset_metrics();
-        let out = Pool::new(threads).map_indexed(TASKS, |i| {
+        let out = map_on_threads(threads, TASKS, |i| {
             for k in 0..OPS_PER_TASK {
                 c.inc();
                 // Values spread over many log2 buckets, deterministically.
@@ -42,7 +65,7 @@ fn pool_hammer_totals_are_exact() {
         });
         assert_eq!(out.len(), TASKS);
 
-        // The pool joined its workers inside map_indexed, so every
+        // The scope joined its workers inside map_on_threads, so every
         // increment is visible: totals are exact, not approximate.
         assert_eq!(
             c.value(),
@@ -91,7 +114,7 @@ fn sketch_hammer_is_exact_monotone_and_bounded() {
 
     for threads in [1, 4, 13] {
         soc_obs::reset_metrics();
-        Pool::new(threads).map_indexed(TASKS, |i| {
+        map_on_threads(threads, TASKS, |i| {
             for k in 0..OPS {
                 sk.record(hammer_value(i, k, OPS));
             }
@@ -99,7 +122,7 @@ fn sketch_hammer_is_exact_monotone_and_bounded() {
         let snap = sk.snapshot();
 
         // Counts and sums are exact despite sharded relaxed recording:
-        // the pool join is the happens-before edge.
+        // the scope join is the happens-before edge.
         assert_eq!(snap.count, (TASKS * OPS) as u64, "threads={threads}");
         assert_eq!(snap.sum, expected_sum, "threads={threads}");
         assert_eq!(snap.max, *sorted.last().unwrap(), "threads={threads}");
@@ -150,8 +173,8 @@ fn sketch_merge_across_shards_matches_single_sketch() {
     let reference = soc_obs::registry().sketch("test.conc.merge_sketch_all");
 
     // Each task hammers the shard sketch it hashes to *and* the
-    // reference, concurrently, from real pool workers.
-    Pool::new(8).map_indexed(TASKS, |i| {
+    // reference, concurrently, from eight worker threads.
+    map_on_threads(8, TASKS, |i| {
         let part = soc_obs::registry().sketch(NAMES[i % NAMES.len()]);
         for k in 0..OPS {
             let v = hammer_value(i, k, OPS);
@@ -178,19 +201,19 @@ fn sketch_merge_across_shards_matches_single_sketch() {
 }
 
 #[test]
-fn pool_span_flush_collects_every_worker_span() {
+fn thread_span_flush_collects_every_worker_span() {
     soc_obs::enable_tracing();
     let _ = soc_obs::drain_spans();
 
     const TASKS: usize = 64;
-    let out = Pool::new(4).map_indexed(TASKS, |i| {
+    let out = map_on_threads(4, TASKS, |i| {
         let _s = soc_obs::span!("conc_task");
         i * 3
     });
     assert_eq!(out, (0..TASKS).map(|i| i * 3).collect::<Vec<_>>());
 
     // Workers are scoped threads: their TLS destructors ran before
-    // map_indexed returned, so every span has been flushed.
+    // map_on_threads returned, so every span has been flushed.
     let spans = soc_obs::drain_spans();
     soc_obs::disable_tracing();
     let tasks = spans.iter().filter(|s| s.name == "conc_task").count();

@@ -1,45 +1,24 @@
 //! # soc-pool
 //!
-//! A small, dependency-free work-stealing thread pool for the `standout`
-//! workspace.
+//! The solver workers behind `soc serve`: a [`Service`] of long-lived
+//! threads draining a FIFO job queue, with drain and abort shutdown
+//! paths and per-job trace-context propagation.
 //!
-//! The batch-serving layer solves one SOC instance per incoming tuple,
-//! and per-instance cost varies by orders of magnitude across algorithms
-//! and tuples (an MFI cache miss mines the whole log; a greedy solve is
-//! microseconds). Static chunking over `std::thread::scope` therefore
-//! straggles: one worker draws the expensive chunk while the others idle.
-//! This pool replaces pre-chunking with per-task stealing:
-//!
-//! - a global **injector** FIFO seeded with all task indices, drained in
-//!   adaptively sized batches (large while plenty of work remains, down
-//!   to single tasks near the tail — classic guided scheduling, so the
-//!   common cheap-task case still amortizes queue locking);
-//! - a **per-worker deque** holding each worker's claimed batch; owners
-//!   pop from the front (preserving index locality), idle workers steal
-//!   the *back half* of a victim's deque in one locked batch;
-//! - **spin-then-park idling**: a worker that finds nothing to run or
-//!   steal yields for a few sweeps, then parks on a condvar. Producers
-//!   wake a parker when they publish stealable work (an injector batch
-//!   deposited into a deque, a steal redistribution) and the last
-//!   finishing task wakes everyone — so an idle worker costs a parked
-//!   thread, not a hot core, and the `pool.idle_ns` metric measures
-//!   true starvation instead of scheduler churn;
-//! - **deterministic result slots**: task `i` writes `f(i)` into slot
-//!   `i`, so the output order equals the input order and — for a pure
-//!   `f` — the result vector is bit-identical regardless of thread
-//!   count or scheduling.
-//!
-//! The pool is *scoped*: workers are `std::thread::scope` threads, so
-//! tasks may borrow from the caller's stack (no `'static` bounds, no
-//! channels). Worker threads live for one `map` call; per-call spawn
-//! cost is negligible against the per-task solve cost this pool exists
-//! to balance.
+//! The service exists for request concurrency, not speedup. Each solve
+//! runs serially on one worker; the queue lets connection threads hand
+//! work off and lets several tenants' requests run side by side, and
+//! the time a job waits in the queue is distinct from the time it runs,
+//! so overload and slow solves can be told apart.
 //!
 //! ```
-//! use soc_pool::Pool;
+//! use std::sync::mpsc;
+//! use soc_pool::Service;
 //!
-//! let squares = Pool::new(4).map_indexed(10, |i| i * i);
-//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
+//! let service = Service::new(2);
+//! let (tx, rx) = mpsc::channel();
+//! service.submit(move || tx.send(6 * 7).unwrap()).unwrap();
+//! assert_eq!(rx.recv().unwrap(), 42);
+//! service.shutdown_drain();
 //! ```
 
 #![warn(missing_docs)]
@@ -48,486 +27,3 @@
 mod service;
 
 pub use service::{Rejected, Service};
-
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-use soc_obs::{counter, gauge, histogram};
-
-/// Largest number of tasks a worker claims from the injector at once.
-/// Bounds worst-case imbalance at the tail to `INJECTOR_BATCH_CAP − 1`
-/// tasks stuck behind a straggler before stealing kicks in.
-const INJECTOR_BATCH_CAP: usize = 32;
-
-/// Failed acquisition attempts (own deque + injector + full steal sweep)
-/// a worker burns through before parking. Spinning keeps the worker hot
-/// across the common sub-microsecond gaps between tasks; anything longer
-/// than a few sweeps means its peers are deep inside claimed tasks and
-/// yielding only wastes a core the running tasks could use.
-const SPIN_TRIES: usize = 16;
-
-/// Upper bound on one parked wait. Parkers are woken explicitly when new
-/// stealable work appears or the pool drains; the timeout is a backstop
-/// against the narrow publish/park races, not the primary wake path, so
-/// it can be generous without costing latency in the common case.
-const PARK_TIMEOUT: Duration = Duration::from_micros(500);
-
-/// A work-stealing thread pool of a fixed worker count.
-///
-/// Cheap to construct (no threads are spawned until a `map` call) and
-/// reusable; each `map_indexed`/`map` call runs its tasks on a fresh
-/// scoped worker set and blocks until every task has finished.
-#[derive(Clone, Debug)]
-pub struct Pool {
-    threads: usize,
-}
-
-impl Pool {
-    /// Creates a pool of `threads` workers.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        Self { threads }
-    }
-
-    /// A pool sized to the machine (`std::thread::available_parallelism`,
-    /// falling back to 1 when unknown).
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(threads)
-    }
-
-    /// The worker count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Computes `f(i)` for every `i in 0..n` with work stealing and
-    /// returns the results in index order. `f` runs concurrently on up
-    /// to `threads` workers; for a pure `f` the result is identical to
-    /// `(0..n).map(f).collect()` regardless of worker count.
-    ///
-    /// # Panics
-    /// Propagates the first panic raised by `f` (remaining tasks may or
-    /// may not run).
-    pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let workers = self.threads.min(n);
-        if n == 0 {
-            return Vec::new();
-        }
-        if workers == 1 {
-            return (0..n).map(f).collect();
-        }
-
-        let slots = Slots::new(n);
-        let queues = Queues::new(workers, n);
-        // Capture the caller's trace context so worker spans stitch into
-        // the caller's span tree (and request, if any) across the pool
-        // boundary. `None` (and free) while span capture is disabled.
-        let ctx = soc_obs::current_ctx();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|id| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let _ctx = soc_obs::ctx_guard(ctx);
-                        while let Some(task) = queues.next_task(id) {
-                            // Decrement happens in Drop so that an unwinding
-                            // task still releases its slot and parked peers
-                            // waiting on `remaining` can terminate.
-                            let _finish = Finish(queues);
-                            counter!("pool.tasks_executed").inc();
-                            let value = f(task);
-                            // Safety: `next_task` hands out each index exactly
-                            // once, so this worker is the sole writer of slot
-                            // `task`.
-                            unsafe { slots.write(task, value) };
-                        }
-                    })
-                })
-                .collect();
-            // Join explicitly so a task panic resurfaces with its original
-            // payload instead of scope's generic "a scoped thread panicked".
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots.into_results()
-    }
-
-    /// Maps `f` over a slice with work stealing; results are in input
-    /// order. Convenience wrapper over [`Pool::map_indexed`].
-    pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        self.map_indexed(items.len(), |i| f(&items[i]))
-    }
-}
-
-/// Decrements the outstanding-task counter on drop (panic-safe). When
-/// the count reaches zero the pool is drained, so any parked peers are
-/// woken to observe termination.
-struct Finish<'a>(&'a Queues);
-
-impl Drop for Finish<'_> {
-    fn drop(&mut self) {
-        if self.0.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            self.0.wake_all();
-        }
-    }
-}
-
-/// The injector + per-worker deques + termination counter + parking lot.
-struct Queues {
-    /// Global FIFO of not-yet-claimed task indices.
-    injector: Mutex<VecDeque<usize>>,
-    /// One deque per worker: owner pops the front, thieves take the back.
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Tasks not yet *finished* (claimed tasks count until their `Finish`
-    /// guard drops). Workers only exit once this reaches zero, because a
-    /// task in flight proves no new work can appear afterwards.
-    remaining: AtomicUsize,
-    /// Workers currently parked (or committed to parking). Producers only
-    /// touch the parking lot when this is non-zero, so the common
-    /// everyone-busy case pays one relaxed load per publish.
-    parked: AtomicUsize,
-    /// Parking lot: protects nothing but the wait itself; work visibility
-    /// is re-checked against the queues before sleeping and a timed wait
-    /// backstops the remaining publish/park races.
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
-}
-
-impl Queues {
-    fn new(workers: usize, n: usize) -> Self {
-        Self {
-            injector: Mutex::new((0..n).collect()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            remaining: AtomicUsize::new(n),
-            parked: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
-        }
-    }
-
-    /// Wakes every parked worker. Called with no queue locks held.
-    fn wake_all(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            // Taking and dropping the lot lock fences against a worker
-            // that has registered in `parked` but not yet begun waiting:
-            // it holds the lock between those two steps, so by the time
-            // we acquire it the worker is either asleep (and hears the
-            // notify) or has re-checked the queues.
-            drop(self.park_lock.lock().expect("park lock poisoned"));
-            self.park_cv.notify_all();
-        }
-    }
-
-    /// Wakes one parked worker after new stealable work was published.
-    fn wake_one(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            drop(self.park_lock.lock().expect("park lock poisoned"));
-            self.park_cv.notify_one();
-        }
-    }
-
-    /// The next task for `worker`, or `None` once all tasks finished.
-    /// Order: own deque front → injector batch → steal → spin → park.
-    fn next_task(&self, worker: usize) -> Option<usize> {
-        // Idle accounting: the stopwatch starts at the first failed
-        // acquisition attempt and stops when a task arrives (or the pool
-        // drains) — spin and park time, not queue-lock time.
-        let mut idle_since: Option<u64> = None;
-        let credit_idle = |idle_since: Option<u64>| {
-            if let Some(t0) = idle_since {
-                counter!("pool.idle_ns").add(soc_obs::clock::saturating_delta_ns(
-                    t0,
-                    soc_obs::clock::now_ns(),
-                ));
-            }
-        };
-        let mut spins = 0;
-        loop {
-            // Own-deque pop is a separate statement: its guard must drop
-            // before `claim_from_injector`/`steal` re-lock local deques.
-            let own = self.lock_local(worker).pop_front();
-            let got = own
-                .or_else(|| self.claim_from_injector(worker))
-                .or_else(|| self.steal(worker));
-            if let Some(t) = got {
-                credit_idle(idle_since);
-                return Some(t);
-            }
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                credit_idle(idle_since);
-                return None;
-            }
-            if idle_since.is_none() {
-                idle_since = soc_obs::metrics_then_now();
-            }
-            spins += 1;
-            if spins < SPIN_TRIES {
-                // Peers still execute claimed tasks (which we cannot
-                // steal); yield briefly in case one finishes right away.
-                std::thread::yield_now();
-                continue;
-            }
-            // Park: register, re-check for work that raced in between the
-            // failed steal sweep and here, then sleep until a producer
-            // publishes stealable work or the pool drains. The timed wait
-            // makes any residual race cost at most one PARK_TIMEOUT.
-            spins = 0;
-            let guard = self.park_lock.lock().expect("park lock poisoned");
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            let racing_work = self.remaining.load(Ordering::Acquire) == 0
-                || !self.injector.lock().expect("injector poisoned").is_empty()
-                || (0..self.locals.len()).any(|v| !self.lock_local(v).is_empty());
-            if racing_work {
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-                continue; // drops `guard`
-            }
-            counter!("pool.parks").inc();
-            let (guard, timeout) = self
-                .park_cv
-                .wait_timeout(guard, PARK_TIMEOUT)
-                .expect("park lock poisoned");
-            drop(guard);
-            self.parked.fetch_sub(1, Ordering::SeqCst);
-            if timeout.timed_out() {
-                counter!("pool.park_timeouts").inc();
-            } else {
-                counter!("pool.park_wakes").inc();
-            }
-        }
-    }
-
-    /// Claims a guided-size batch from the injector: `1/(2·workers)` of
-    /// what remains, clamped to `[1, INJECTOR_BATCH_CAP]`. The first task
-    /// is returned, the rest deposited in the worker's own deque.
-    fn claim_from_injector(&self, worker: usize) -> Option<usize> {
-        let mut injector = self.injector.lock().expect("injector poisoned");
-        let first = injector.pop_front()?;
-        let batch = (injector.len() / (2 * self.locals.len())).clamp(1, INJECTOR_BATCH_CAP) - 1;
-        let mut deposited = 0;
-        if batch > 0 {
-            let mut local = self.lock_local(worker);
-            for _ in 0..batch {
-                match injector.pop_front() {
-                    Some(t) => {
-                        local.push_back(t);
-                        deposited += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        gauge!("pool.queue_depth").set(injector.len() as i64);
-        drop(injector);
-        if deposited > 0 {
-            // The deposit is stealable: hand a parked peer a chance at it.
-            // Called with both queue locks released, so a parker's
-            // re-check under the lot lock can never deadlock against us.
-            self.wake_one();
-        }
-        Some(first)
-    }
-
-    /// Steals the back half of the first non-empty victim deque. Returns
-    /// the lowest stolen index; the rest go to the thief's own deque.
-    fn steal(&self, thief: usize) -> Option<usize> {
-        let workers = self.locals.len();
-        for k in 1..workers {
-            let victim = (thief + k) % workers;
-            let mut stolen: Vec<usize> = {
-                let mut v = self.lock_local(victim);
-                let take = v.len().div_ceil(2);
-                // Back half = the tasks the owner would reach last.
-                (0..take).filter_map(|_| v.pop_back()).collect()
-            };
-            if let Some(first) = stolen.pop() {
-                counter!("pool.tasks_stolen").add((stolen.len() + 1) as u64);
-                histogram!("pool.steal_batch").record((stolen.len() + 1) as u64);
-                // `stolen` was popped back-to-front, so the remaining
-                // entries are in descending index order; reverse to keep
-                // the thief scanning ascending indices like an owner.
-                let redistributed = !stolen.is_empty();
-                let mut local = self.lock_local(thief);
-                for t in stolen.into_iter().rev() {
-                    local.push_back(t);
-                }
-                drop(local);
-                if redistributed {
-                    self.wake_one();
-                }
-                return Some(first);
-            }
-        }
-        None
-    }
-
-    fn lock_local(&self, worker: usize) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-        self.locals[worker].lock().expect("worker deque poisoned")
-    }
-}
-
-/// One write-once result slot per task. `Sync` is sound because the
-/// queues hand each index to exactly one worker, making every slot
-/// single-writer, and the scope join synchronizes writes with the final
-/// read.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        Self((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// # Safety
-    /// The caller must be the unique writer of `index`.
-    unsafe fn write(&self, index: usize, value: T) {
-        *self.0[index].get() = Some(value);
-    }
-
-    fn into_results(self) -> Vec<T> {
-        self.0
-            .into_iter()
-            .map(|c| {
-                c.into_inner()
-                    .expect("every task index is executed exactly once")
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
-
-    #[test]
-    fn results_are_in_input_order() {
-        for threads in [1, 2, 3, 8, 32] {
-            let out = Pool::new(threads).map_indexed(100, |i| i * 2);
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn more_threads_than_tasks() {
-        let out = Pool::new(16).map_indexed(3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(Pool::new(4).map_indexed(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn map_over_slice_borrows() {
-        let words = ["a", "bb", "ccc"];
-        let lens = Pool::new(2).map(&words, |w| w.len());
-        assert_eq!(lens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn skewed_costs_still_complete_and_stay_ordered() {
-        // One task is 1000× the others; with static chunking the worker
-        // that owns it would also serialize its whole chunk. Here the
-        // rest of its batch gets stolen, and the output order must be
-        // unaffected either way.
-        let out = Pool::new(4).map_indexed(64, |i| {
-            if i == 0 {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            i
-        });
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn deterministic_across_runs_and_thread_counts() {
-        let reference = Pool::new(1).map_indexed(257, |i| i.wrapping_mul(0x9E37) ^ 0b1010);
-        for threads in [2, 5, 8] {
-            for _ in 0..3 {
-                let run = Pool::new(threads).map_indexed(257, |i| i.wrapping_mul(0x9E37) ^ 0b1010);
-                assert_eq!(run, reference, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_actually_happens() {
-        // Worker holding the first batch blocks; the rest of its deque
-        // must be executed by thieves for the call to return quickly.
-        let blocked = AtomicBool::new(false);
-        let out = Pool::new(2).map_indexed(40, |i| {
-            if i == 0 {
-                blocked.store(true, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            i
-        });
-        assert!(blocked.load(Ordering::SeqCst));
-        assert_eq!(out.len(), 40);
-    }
-
-    #[test]
-    fn parked_workers_wake_and_finish() {
-        // One long task at the head starves the other workers after the
-        // short tail drains; they must park and still wake to terminate
-        // promptly when the straggler finishes (Finish -> wake_all).
-        for _ in 0..4 {
-            let out = Pool::new(3).map_indexed(12, |i| {
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                i * 3
-            });
-            assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "task zero failed")]
-    fn task_panic_propagates() {
-        let _ = Pool::new(4).map_indexed(16, |i| {
-            if i == 0 {
-                panic!("task zero failed");
-            }
-            i
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn zero_threads_panics() {
-        let _ = Pool::new(0);
-    }
-
-    #[test]
-    fn available_parallelism_pool_works() {
-        let pool = Pool::with_available_parallelism();
-        assert!(pool.threads() >= 1);
-        assert_eq!(pool.map_indexed(5, |i| i), vec![0, 1, 2, 3, 4]);
-    }
-}

@@ -1,12 +1,9 @@
 //! A persistent worker service with an explicit, deadlock-free shutdown
 //! path.
 //!
-//! [`Pool`](crate::Pool) is scoped: workers live for one `map` call and
-//! the scope join *is* the shutdown. A long-running server cannot use
-//! that shape — it needs workers that outlive any single request and a
-//! teardown that is safe to run **while tasks are still queued**. PR 5's
-//! audit found no such path existed: the only way to stop in-flight work
-//! was to leak it. [`Service`] closes the gap:
+//! A long-running server needs workers that outlive any single request
+//! and a teardown that is safe to run **while tasks are still queued**.
+//! [`Service`] provides both:
 //!
 //! - [`Service::submit`] enqueues a boxed task; workers drain the queue
 //!   in FIFO order. Submissions after shutdown begins are rejected with
@@ -36,7 +33,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A job plus the trace context captured at submit time, so the worker
 /// executes it under the submitter's request identity (spans stitch
-/// across the submit boundary like the scoped pool's).
+/// across the submit boundary).
 struct QueuedJob {
     job: Job,
     ctx: Option<soc_obs::TraceCtx>,

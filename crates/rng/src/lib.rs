@@ -60,10 +60,10 @@ impl StdRng {
 
     /// The generator for one stream of a seed-split family:
     /// `stream(seed, 0), stream(seed, 1), …` are decorrelated,
-    /// reproducible generators derived from a single seed. Parallel
-    /// consumers (the multi-worker MFI miner) give each worker its own
-    /// stream index so results depend only on the seed and the number of
-    /// workers — never on scheduling.
+    /// reproducible generators derived from a single seed. Concurrent
+    /// consumers (e.g. a benchmark's client connections) give each one
+    /// its own stream index so results depend only on the seed — never
+    /// on scheduling.
     pub fn stream(seed: u64, stream_index: u64) -> Self {
         // Run the index through one SplitMix64 step before XOR-ing into
         // the seed: adjacent stream indices land on decorrelated seeds,

@@ -301,31 +301,39 @@ enum ReadEvent {
 }
 
 /// Incremental newline-delimited framing over a read-timeout socket.
-struct LineReader {
-    stream: TcpStream,
+///
+/// `scanned` marks how much of `buf` is known to hold no newline, so
+/// each byte is searched once however finely the peer trickles a line:
+/// framing costs time linear in the bytes received.
+struct LineReader<R> {
+    stream: R,
     buf: Vec<u8>,
+    scanned: usize,
     max_line: usize,
 }
 
-impl LineReader {
-    fn new(stream: TcpStream, max_line: usize) -> Self {
+impl<R: Read> LineReader<R> {
+    fn new(stream: R, max_line: usize) -> Self {
         Self {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             max_line,
         }
     }
 
     fn poll_line(&mut self) -> io::Result<ReadEvent> {
         loop {
-            if let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=nl).collect();
+            if let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.buf.drain(..=self.scanned + i).collect();
+                self.scanned = 0;
                 line.pop(); // the newline
                 if line.last() == Some(&b'\r') {
                     line.pop(); // tolerate CRLF (telnet-style clients)
                 }
                 return Ok(ReadEvent::Line(line));
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > self.max_line {
                 return Ok(ReadEvent::TooLong);
             }
@@ -1052,4 +1060,84 @@ fn flight_frame(shared: &Shared, id: Option<&Json>, request: Option<u64>) -> Str
     }
     fields.push(("records", Json::Arr(rows)));
     reply_frame("flight_ok", id, fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Serves `data` in `piece`-byte reads, then EOF. Fails any read
+    /// made after `budget` has elapsed, so quadratic framing fails fast
+    /// instead of hanging the suite.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        piece: usize,
+        started: Instant,
+        budget: Duration,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.started.elapsed() > self.budget {
+                return Err(io::Error::other("framing exceeded its time budget"));
+            }
+            let n = self.piece.min(out.len()).min(self.data.len() - self.pos);
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn line(event: ReadEvent) -> Vec<u8> {
+        match event {
+            ReadEvent::Line(l) => l,
+            ReadEvent::Tick => panic!("unexpected tick"),
+            ReadEvent::Eof => panic!("unexpected eof"),
+            ReadEvent::TooLong => panic!("unexpected too-long"),
+        }
+    }
+
+    #[test]
+    fn trickled_long_line_frames_in_linear_time() {
+        // A line just under the limit, trickled 64 bytes per read, then
+        // a CRLF and two pipelined lines. Rescanning the whole buffer on
+        // every read costs ~2^16 scans of up to 4 MiB here — minutes —
+        // while one pass over the bytes takes milliseconds.
+        let max_line = 4 << 20;
+        let big = vec![b'x'; max_line - 8];
+        let mut data = big.clone();
+        data.extend_from_slice(b"\r\n{\"a\":1}\nlast\r\n");
+        let mut reader = LineReader::new(
+            Trickle {
+                data,
+                pos: 0,
+                piece: 64,
+                started: Instant::now(),
+                budget: Duration::from_secs(5),
+            },
+            max_line,
+        );
+        assert_eq!(line(reader.poll_line().unwrap()), big);
+        assert_eq!(line(reader.poll_line().unwrap()), b"{\"a\":1}");
+        assert_eq!(line(reader.poll_line().unwrap()), b"last");
+        assert!(matches!(reader.poll_line().unwrap(), ReadEvent::Eof));
+    }
+
+    #[test]
+    fn trickled_oversized_line_is_too_long() {
+        // Memory stays bounded: past the limit the reader stops reading.
+        let mut reader = LineReader::new(
+            Trickle {
+                data: vec![b'x'; 1 << 20],
+                pos: 0,
+                piece: 100,
+                started: Instant::now(),
+                budget: Duration::from_secs(5),
+            },
+            4096,
+        );
+        assert!(matches!(reader.poll_line().unwrap(), ReadEvent::TooLong));
+        assert!(reader.buf.len() <= 4096 + 100);
+    }
 }

@@ -3,16 +3,15 @@
 //! Best-first search over binary fixings. Each node re-optimizes its LP
 //! relaxation *warm* from its parent's basis snapshot (dual simplex, see
 //! [`crate::simplex`]) instead of a cold two-phase solve, prunes against
-//! a shared incumbent, and branches by pseudocost estimates. A cheap
+//! the incumbent, and branches by pseudocost estimates. A cheap
 //! combinatorial pre-bound (the box relaxation of the objective under
 //! the child's bounds, maintained in O(1) per fixing) discards children
-//! before any pivoting. After branching, the worker *plunges*: it keeps
+//! before any pivoting. After branching, the search *plunges*: it keeps
 //! one child and solves it immediately on the same engine, so the warm
 //! solve is a dive (shift the bounds in place, dual re-optimize) rather
 //! than a basis refactorization; the sibling joins the best-first heap.
-//! Node exploration can optionally run on the `soc-pool` work-stealing
-//! pool; the sequential mode stays the default and the deterministic
-//! differential oracle.
+//! The search is sequential and deterministic: ties in the heap and in
+//! branching break the same way on every run.
 //!
 //! This reproduces — and now accelerates — the behaviour the paper
 //! observed with its off-the-shelf solver: "carefully designed branch
@@ -21,8 +20,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use soc_obs::{counter, histogram};
@@ -129,54 +127,42 @@ impl Pseudocosts {
     }
 }
 
-/// State shared by the search workers. Borrowed (not `Arc`ed) into the
-/// scoped pool threads; the sequential mode runs the same worker loop
-/// inline on the calling thread.
+/// The search state, owned by the single search loop.
 struct Search<'a> {
     model: &'a Model,
     opts: &'a MipOptions,
     int_vars: &'a [usize],
     /// Objective coefficients in max-space (`sign * c`).
     obj_max: &'a [f64],
-    heap: Mutex<BinaryHeap<Node>>,
-    /// Incumbent values; objective lives in `best_bits` for lock-free
-    /// bound checks.
-    incumbent: Mutex<Option<Vec<f64>>>,
-    /// f64 bits of the incumbent objective (max-space); NEG_INFINITY
-    /// when no incumbent exists yet.
-    best_bits: AtomicU64,
-    nodes: AtomicUsize,
-    /// Workers currently holding a popped node (incremented under the
-    /// heap lock, decremented only after the node's children are pushed
-    /// — the termination invariant).
-    active: AtomicUsize,
-    stop: AtomicBool,
-    error: Mutex<Option<SolveError>>,
-    pseudo: Mutex<Pseudocosts>,
-    lp_pivots: AtomicUsize,
-    dual_pivots: AtomicUsize,
-    warm_solves: AtomicUsize,
-    cold_solves: AtomicUsize,
-    warm_failures: AtomicUsize,
-    pre_bound_pruned: AtomicUsize,
+    heap: BinaryHeap<Node>,
+    /// Incumbent values; `None` until a feasible point is found.
+    incumbent: Option<Vec<f64>>,
+    /// Incumbent objective (max-space); NEG_INFINITY when no incumbent
+    /// exists yet.
+    best: f64,
+    pseudo: Pseudocosts,
+    /// Search counters, returned as the solution's stats.
+    stats: SolveStats,
     deadline: Option<Instant>,
 }
 
+/// What the search loop does after processing one node.
+enum Step {
+    /// Solve this child next on the same engine (a plunge).
+    Plunge(Node),
+    /// Pop the best node from the heap.
+    Pop,
+    /// A node or time limit, or the gap target, was reached; the
+    /// unprocessed node went back onto the heap.
+    Stop,
+}
+
 impl Search<'_> {
-    fn best(&self) -> f64 {
-        f64::from_bits(self.best_bits.load(AtOrd::SeqCst))
-    }
-
-    fn try_improve(&self, obj_max: f64, values: Vec<f64>) {
-        let mut guard = self.incumbent.lock().expect("incumbent poisoned");
-        if guard.is_none() || obj_max > self.best() + 1e-9 {
-            *guard = Some(values);
-            self.best_bits.store(obj_max.to_bits(), AtOrd::SeqCst);
+    fn try_improve(&mut self, obj_max: f64, values: Vec<f64>) {
+        if self.incumbent.is_none() || obj_max > self.best + 1e-9 {
+            self.incumbent = Some(values);
+            self.best = obj_max;
         }
-    }
-
-    fn push_back(&self, node: Node) {
-        self.heap.lock().expect("heap poisoned").push(node);
     }
 
     /// The box relaxation contribution of variable `j` under its model
@@ -194,18 +180,18 @@ impl Search<'_> {
     /// Solves one node's LP: warm from the nearest ancestor snapshot when
     /// enabled, cold in the engine layout otherwise, standalone build as
     /// the last resort (node bounds the fixed layout cannot express).
-    fn solve_node_lp(&self, engine: &mut Engine, node: &Node) -> Result<EngineLp, SolveError> {
+    fn solve_node_lp(&mut self, engine: &mut Engine, node: &Node) -> Result<EngineLp, SolveError> {
         let fixings = (!node.fixings.is_empty()).then_some(node.fixings.as_slice());
         if self.opts.warm_lp {
             if let Some(snap) = &node.snapshot {
                 if let Some(res) = engine.solve_warm(snap, fixings) {
-                    self.warm_solves.fetch_add(1, AtOrd::Relaxed);
+                    self.stats.warm_solves += 1;
                     return res;
                 }
-                self.warm_failures.fetch_add(1, AtOrd::Relaxed);
+                self.stats.warm_failures += 1;
             }
         }
-        self.cold_solves.fetch_add(1, AtOrd::Relaxed);
+        self.stats.cold_solves += 1;
         if let Some(res) = engine.solve_cold(fixings) {
             return res;
         }
@@ -222,36 +208,33 @@ impl Search<'_> {
 
     /// Processes one popped node: limit checks, LP solve, pseudocost
     /// update, incumbent handling, branching. Returns the child to
-    /// *plunge* into — the worker solves it next on the same engine, so
+    /// *plunge* into — the loop solves it next on the same engine, so
     /// the child's parent snapshot matches the live tableau and the
     /// warm solve takes the O(bound-change) dive path instead of a full
     /// refactorization. The sibling goes to the heap as usual.
-    fn process(&self, node: Node, engine: &mut Engine) -> Result<Option<Node>, SolveError> {
+    fn process(&mut self, node: Node, engine: &mut Engine) -> Result<Step, SolveError> {
         let to_max = |obj: f64| match self.model.sense {
             Sense::Maximize => obj,
             Sense::Minimize => -obj,
         };
-        if self.nodes.load(AtOrd::SeqCst) >= self.opts.max_nodes
+        if self.stats.nodes >= self.opts.max_nodes
             || self.deadline.is_some_and(|d| Instant::now() >= d)
         {
             // Keep the node in the heap so `proven_optimal` sees it.
-            self.stop.store(true, AtOrd::SeqCst);
-            self.push_back(node);
-            return Ok(None);
+            self.heap.push(node);
+            return Ok(Step::Stop);
         }
-        let best = self.best();
-        if !can_improve(node.bound, best, self.opts) {
-            return Ok(None);
+        if !can_improve(node.bound, self.best, self.opts) {
+            return Ok(Step::Pop);
         }
         if self.opts.rel_gap > 0.0
-            && best.is_finite()
-            && node.bound - best <= self.opts.rel_gap * best.abs().max(1.0)
+            && self.best.is_finite()
+            && node.bound - self.best <= self.opts.rel_gap * self.best.abs().max(1.0)
         {
-            self.stop.store(true, AtOrd::SeqCst);
-            self.push_back(node);
-            return Ok(None);
+            self.heap.push(node);
+            return Ok(Step::Stop);
         }
-        self.nodes.fetch_add(1, AtOrd::SeqCst);
+        self.stats.nodes += 1;
 
         let lp_start = soc_obs::metrics_then_now();
         let lp = self.solve_node_lp(engine, &node)?;
@@ -270,23 +253,20 @@ impl Search<'_> {
             };
             band.record(us);
         }
-        self.lp_pivots.fetch_add(lp.pivots, AtOrd::Relaxed);
-        self.dual_pivots.fetch_add(lp.dual_pivots, AtOrd::Relaxed);
+        self.stats.lp_pivots += lp.pivots;
+        self.stats.dual_pivots += lp.dual_pivots;
         match lp.status {
-            LpStatus::Infeasible => return Ok(None),
+            LpStatus::Infeasible => return Ok(Step::Pop),
             LpStatus::Unbounded => return Err(SolveError::Unbounded),
             LpStatus::Optimal => {}
         }
         let bound = to_max(lp.objective);
         if node.branch_var != usize::MAX && node.parent_lp.is_finite() {
-            self.pseudo.lock().expect("pseudocosts poisoned").record(
-                node.branch_var,
-                node.branch_up,
-                node.parent_lp - bound,
-            );
+            self.pseudo
+                .record(node.branch_var, node.branch_up, node.parent_lp - bound);
         }
-        if !can_improve(bound, self.best(), self.opts) {
-            return Ok(None);
+        if !can_improve(bound, self.best, self.opts) {
+            return Ok(Step::Pop);
         }
 
         let fractional: Vec<(usize, f64)> = self
@@ -307,7 +287,7 @@ impl Search<'_> {
                 let obj = to_max(self.model.objective_value(&vals));
                 self.try_improve(obj, vals);
             }
-            return Ok(None);
+            return Ok(Step::Pop);
         }
 
         // Rounding heuristic: try the nearest-integer point once per
@@ -322,16 +302,13 @@ impl Search<'_> {
         }
 
         // Branch by pseudocost product score; ties break on the smallest
-        // index, so the sequential search is deterministic.
-        let branch = {
-            let pseudo = self.pseudo.lock().expect("pseudocosts poisoned");
-            fractional
-                .iter()
-                .map(|&(j, x)| (j, pseudo.score(j, (x - x.floor()).clamp(0.0, 1.0))))
-                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-                .map(|(j, _)| j)
-                .expect("fractional set is nonempty")
-        };
+        // index, so the search is deterministic.
+        let branch = fractional
+            .iter()
+            .map(|&(j, x)| (j, self.pseudo.score(j, (x - x.floor()).clamp(0.0, 1.0))))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+            .map(|(j, _)| j)
+            .expect("fractional set is nonempty");
         let child_snapshot = lp.snapshot.map(Arc::new).or_else(|| node.snapshot.clone());
         let mut plunge: Option<Node> = None;
         for (value, up) in [(0.0, false), (1.0, true)] {
@@ -340,8 +317,8 @@ impl Search<'_> {
             let child_box =
                 node.box_bound - self.relaxed_contrib(branch) + self.obj_max[branch] * value;
             let child_bound = bound.min(child_box);
-            if !can_improve(child_bound, self.best(), self.opts) {
-                self.pre_bound_pruned.fetch_add(1, AtOrd::Relaxed);
+            if !can_improve(child_bound, self.best, self.opts) {
+                self.stats.pre_bound_pruned += 1;
                 continue;
             }
             let mut fixings = node.fixings.clone();
@@ -359,72 +336,34 @@ impl Search<'_> {
             // up-fixing, which tends straight to an incumbent); the
             // sibling joins the best-first heap.
             match &plunge {
-                Some(kept) if kept.bound > child.bound => self.push_back(child),
+                Some(kept) if kept.bound > child.bound => self.heap.push(child),
                 _ => {
                     if let Some(displaced) = plunge.replace(child) {
-                        self.push_back(displaced);
+                        self.heap.push(displaced);
                     }
                 }
             }
         }
-        Ok(plunge)
+        Ok(plunge.map_or(Step::Pop, Step::Plunge))
     }
 
-    /// Worker loop: pop → process → repeat, terminating once the heap is
-    /// empty with no node in flight anywhere.
-    fn worker(&self) {
+    /// Search loop: pop the best node, then plunge — chase each returned
+    /// child on the same engine while one exists. The live tableau is
+    /// the child's parent basis, so each plunge step is a dive (bound
+    /// shift + dual re-optimize), not a refactorization. Ends when the
+    /// heap is empty or a limit stops the search.
+    fn run(&mut self) -> Result<(), SolveError> {
         let mut engine = Engine::new(self.model);
-        loop {
-            if self.stop.load(AtOrd::SeqCst) {
-                break;
-            }
-            let node = {
-                let mut heap = self.heap.lock().expect("heap poisoned");
-                let n = heap.pop();
-                if n.is_some() {
-                    // Claimed under the lock: `active` can never read 0
-                    // while work is in flight.
-                    self.active.fetch_add(1, AtOrd::SeqCst);
+        while let Some(mut node) = self.heap.pop() {
+            loop {
+                match self.process(node, &mut engine)? {
+                    Step::Plunge(child) => node = child,
+                    Step::Pop => break,
+                    Step::Stop => return Ok(()),
                 }
-                n
-            };
-            let Some(node) = node else {
-                let heap = self.heap.lock().expect("heap poisoned");
-                if heap.is_empty() && self.active.load(AtOrd::SeqCst) == 0 {
-                    break;
-                }
-                drop(heap);
-                std::thread::yield_now();
-                continue;
-            };
-            // Plunge: chase the returned child on the same engine while
-            // one exists. The live tableau is the child's parent basis,
-            // so each step is a dive (bound shift + dual re-optimize),
-            // not a refactorization. `active` stays held for the whole
-            // chain, preserving the termination invariant.
-            let mut result = Ok(());
-            let mut current = Some(node);
-            while let Some(n) = current {
-                if self.stop.load(AtOrd::SeqCst) {
-                    self.push_back(n);
-                    break;
-                }
-                match self.process(n, &mut engine) {
-                    Ok(next) => current = next,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            self.active.fetch_sub(1, AtOrd::SeqCst);
-            if let Err(e) = result {
-                let mut err = self.error.lock().expect("error slot poisoned");
-                err.get_or_insert(e);
-                self.stop.store(true, AtOrd::SeqCst);
-                break;
             }
         }
+        Ok(())
     }
 }
 
@@ -461,25 +400,16 @@ pub(crate) fn solve(model: &Model, opts: &MipOptions) -> Result<MipSolution, Sol
     };
     let obj_max: Vec<f64> = model.objective.iter().map(|c| sign * c).collect();
 
-    let search = Search {
+    let mut search = Search {
         model,
         opts,
         int_vars: &int_vars,
         obj_max: &obj_max,
-        heap: Mutex::new(BinaryHeap::new()),
-        incumbent: Mutex::new(None),
-        best_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        nodes: AtomicUsize::new(0),
-        active: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        error: Mutex::new(None),
-        pseudo: Mutex::new(Pseudocosts::new(model.num_vars())),
-        lp_pivots: AtomicUsize::new(0),
-        dual_pivots: AtomicUsize::new(0),
-        warm_solves: AtomicUsize::new(0),
-        cold_solves: AtomicUsize::new(0),
-        warm_failures: AtomicUsize::new(0),
-        pre_bound_pruned: AtomicUsize::new(0),
+        heap: BinaryHeap::new(),
+        incumbent: None,
+        best: f64::NEG_INFINITY,
+        pseudo: Pseudocosts::new(model.num_vars()),
+        stats: SolveStats::default(),
         deadline: opts.time_limit.map(|d| Instant::now() + d),
     };
 
@@ -501,7 +431,7 @@ pub(crate) fn solve(model: &Model, opts: &MipOptions) -> Result<MipSolution, Sol
     let root_box: f64 = (0..model.num_vars())
         .map(|j| search.relaxed_contrib(j))
         .sum();
-    search.push_back(Node {
+    search.heap.push(Node {
         fixings: Vec::new(),
         bound: root_box,
         box_bound: root_box,
@@ -511,34 +441,19 @@ pub(crate) fn solve(model: &Model, opts: &MipOptions) -> Result<MipSolution, Sol
         parent_lp: f64::INFINITY,
     });
 
-    let threads = opts.threads.max(1);
-    if threads == 1 {
-        search.worker();
-    } else {
-        soc_pool::Pool::new(threads).map_indexed(threads, |_| search.worker());
-    }
+    search.run()?;
 
-    if let Some(e) = search.error.lock().expect("error slot poisoned").take() {
-        return Err(e);
-    }
-
-    let nodes = search.nodes.load(AtOrd::SeqCst);
-    let heap = search.heap.into_inner().expect("heap poisoned");
-    let incumbent = search.incumbent.into_inner().expect("incumbent poisoned");
-    let best = f64::from_bits(search.best_bits.load(AtOrd::SeqCst));
-    let proven_optimal = heap.is_empty()
-        || (incumbent.is_some() && heap.iter().all(|n| !can_improve(n.bound, best, opts)));
-    let stats = SolveStats {
-        nodes,
-        lp_pivots: search.lp_pivots.load(AtOrd::Relaxed),
-        dual_pivots: search.dual_pivots.load(AtOrd::Relaxed),
-        warm_solves: search.warm_solves.load(AtOrd::Relaxed),
-        cold_solves: search.cold_solves.load(AtOrd::Relaxed),
-        warm_failures: search.warm_failures.load(AtOrd::Relaxed),
-        pre_bound_pruned: search.pre_bound_pruned.load(AtOrd::Relaxed),
-        presolved_vars: 0,
-        threads,
-    };
+    // A limit stop pushes its unprocessed node back, so a non-empty heap
+    // means the search was cut short.
+    let stopped = !search.heap.is_empty();
+    let best = search.best;
+    let proven_optimal = !stopped
+        || (search.incumbent.is_some()
+            && search
+                .heap
+                .iter()
+                .all(|n| !can_improve(n.bound, best, opts)));
+    let stats = search.stats;
     // Mirror the per-solve stats into the process-wide registry so batch
     // runs accumulate totals without threading SolveStats around.
     if soc_obs::metrics_enabled() {
@@ -551,21 +466,18 @@ pub(crate) fn solve(model: &Model, opts: &MipOptions) -> Result<MipSolution, Sol
         counter!("solver.pre_bound_pruned").add(stats.pre_bound_pruned as u64);
     }
 
-    match incumbent {
+    match search.incumbent {
         Some(values) => Ok(MipSolution {
             objective: from_max(best),
             values,
-            nodes,
+            nodes: stats.nodes,
             proven_optimal,
             stats,
         }),
-        None => {
-            if search.stop.load(AtOrd::SeqCst) || nodes >= opts.max_nodes {
-                Err(SolveError::NodeLimitWithoutIncumbent)
-            } else {
-                Err(SolveError::Infeasible)
-            }
+        None if stopped || stats.nodes >= opts.max_nodes => {
+            Err(SolveError::NodeLimitWithoutIncumbent)
         }
+        None => Err(SolveError::Infeasible),
     }
 }
 
@@ -752,44 +664,6 @@ mod tests {
         let s = m.solve_mip_no_presolve(&opts).expect("incumbent exists");
         assert!(!s.proven_optimal);
         assert!(s.nodes <= 2);
-    }
-
-    #[test]
-    fn parallel_mode_matches_sequential_objective() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..14).map(|_| m.add_binary()).collect();
-        m.set_objective(LinExpr::from_terms(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (2.0 + (i % 6) as f64, v)),
-        ));
-        m.add_constraint(
-            LinExpr::from_terms(
-                vars.iter()
-                    .enumerate()
-                    .map(|(i, &v)| (1.0 + (i % 4) as f64, v)),
-            ),
-            Cmp::Le,
-            13.0,
-        );
-        m.add_constraint(LinExpr::sum(vars.iter().copied()), Cmp::Le, 8.0);
-        let seq = m.solve_mip_no_presolve(&MipOptions::default()).unwrap();
-        for threads in [2, 4] {
-            let par = m
-                .solve_mip_no_presolve(&MipOptions {
-                    threads,
-                    ..Default::default()
-                })
-                .unwrap();
-            assert!(
-                (par.objective - seq.objective).abs() < 1e-6,
-                "threads {threads}: {} vs {}",
-                par.objective,
-                seq.objective
-            );
-            assert!(par.proven_optimal);
-            assert_eq!(par.stats.threads, threads);
-        }
     }
 
     #[test]

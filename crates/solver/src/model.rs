@@ -294,11 +294,6 @@ pub struct MipOptions {
     /// Stop once `(best bound − incumbent) <= rel_gap · max(1, |incumbent|)`
     /// (in maximization space). `0.0` proves optimality.
     pub rel_gap: f64,
-    /// Worker threads for node exploration. `1` (the default) is the
-    /// deterministic sequential search and the differential oracle;
-    /// larger values explore nodes concurrently on a work pool (same
-    /// objective, possibly a different optimal point and node count).
-    pub threads: usize,
     /// Re-optimize each node's LP from its parent's basis with dual
     /// simplex instead of a cold two-phase solve. On by default; off is
     /// the cold baseline used for differential testing and benchmarks.
@@ -314,7 +309,6 @@ impl Default for MipOptions {
             initial_solution: None,
             time_limit: None,
             rel_gap: 0.0,
-            threads: 1,
             warm_lp: true,
         }
     }
@@ -342,8 +336,6 @@ pub struct SolveStats {
     pub pre_bound_pruned: usize,
     /// Variables eliminated by presolve before the search.
     pub presolved_vars: usize,
-    /// Worker threads used.
-    pub threads: usize,
 }
 
 impl SolveStats {

@@ -1,9 +1,8 @@
 //! Differential validation of the solve modes: on random 0/1 programs,
 //! exhaustive enumeration, the cold branch-and-bound (two-phase primal
-//! simplex per node), the warm-started dual-simplex path, and the
-//! parallel search must all agree on the optimal objective. The
-//! sequential cold mode is the oracle; everything else is compared
-//! against it.
+//! simplex per node) and the warm-started dual-simplex path must all
+//! agree on the optimal objective. The cold mode is the oracle; the
+//! warm mode is compared against it.
 
 use soc_rng::StdRng;
 use soc_solver::{Cmp, LinExpr, MipOptions, Model, Sense};
@@ -89,28 +88,26 @@ fn brute_force(bip: &RandomBip) -> Option<i64> {
     best
 }
 
-fn mode(warm_lp: bool, threads: usize) -> MipOptions {
+fn mode(warm_lp: bool) -> MipOptions {
     MipOptions {
         integral_objective: true,
         warm_lp,
-        threads,
         ..Default::default()
     }
 }
 
 #[test]
-fn cold_warm_and_parallel_match_exhaustive_enumeration() {
+fn cold_and_warm_match_exhaustive_enumeration() {
     let mut rng = StdRng::seed_from_u64(0x5eed);
     for case in 0..240 {
         let bip = random_bip(&mut rng);
         let expected = brute_force(&bip);
         let model = build(&bip);
-        let cold = model.solve_mip(&mode(false, 1));
-        let warm = model.solve_mip(&mode(true, 1));
-        let par = model.solve_mip(&mode(true, 4));
+        let cold = model.solve_mip(&mode(false));
+        let warm = model.solve_mip(&mode(true));
         match expected {
             Some(best) => {
-                for (name, sol) in [("cold", &cold), ("warm", &warm), ("parallel", &par)] {
+                for (name, sol) in [("cold", &cold), ("warm", &warm)] {
                     let sol = sol
                         .as_ref()
                         .unwrap_or_else(|e| panic!("case {case}: {name} errored: {e}"));
@@ -127,7 +124,7 @@ fn cold_warm_and_parallel_match_exhaustive_enumeration() {
                 }
             }
             None => {
-                for (name, sol) in [("cold", &cold), ("warm", &warm), ("parallel", &par)] {
+                for (name, sol) in [("cold", &cold), ("warm", &warm)] {
                     assert!(
                         sol.is_err(),
                         "case {case}: {name} found a solution to an infeasible program"
@@ -147,8 +144,8 @@ fn warm_path_reports_warm_solves_and_identical_objectives_without_presolve() {
     for case in 0..120 {
         let bip = random_bip(&mut rng);
         let model = build(&bip);
-        let cold = model.solve_mip_no_presolve(&mode(false, 1));
-        let warm = model.solve_mip_no_presolve(&mode(true, 1));
+        let cold = model.solve_mip_no_presolve(&mode(false));
+        let warm = model.solve_mip_no_presolve(&mode(true));
         match (&cold, &warm) {
             (Ok(c), Ok(w)) => {
                 assert!(
@@ -168,27 +165,4 @@ fn warm_path_reports_warm_solves_and_identical_objectives_without_presolve() {
         warm_hits > 0,
         "the suite never exercised a warm restore — generator too easy"
     );
-}
-
-#[test]
-fn parallel_search_is_exact_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(7);
-    for case in 0..60 {
-        let bip = random_bip(&mut rng);
-        let model = build(&bip);
-        let seq = model.solve_mip(&mode(true, 1));
-        for threads in [2, 3, 8] {
-            let par = model.solve_mip(&mode(true, threads));
-            match (&seq, &par) {
-                (Ok(s), Ok(p)) => assert!(
-                    (s.objective - p.objective).abs() < 1e-6,
-                    "case {case}, {threads} threads: {} vs {}",
-                    s.objective,
-                    p.objective
-                ),
-                (Err(_), Err(_)) => {}
-                (s, p) => panic!("case {case}, {threads} threads: {s:?} vs {p:?}"),
-            }
-        }
-    }
 }

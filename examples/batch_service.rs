@@ -3,8 +3,8 @@
 //! A marketplace scores every incoming listing against the site's query
 //! log. This example shows the two optimizations that make that cheap:
 //! query-log **deduplication** (weights replace duplicates, objectives
-//! unchanged) and a **shared preprocessing cache** ([`SharedMfi`]) used by
-//! a pool of worker threads via [`solve_batch`].
+//! unchanged) and a **shared preprocessing cache** ([`SharedMfi`]) that
+//! every solve of a [`solve_batch`] reuses.
 //!
 //! Run with: `cargo run --release --example batch_service`
 
@@ -42,34 +42,28 @@ fn main() {
     let listings = sample_new_cars(&dataset, 2_000, 11);
     let m = 6;
 
-    // Shared, thread-safe preprocessing: mine the deduplicated log once.
+    // Shared preprocessing: mine the deduplicated log once.
     let shared = SharedMfi::new(MfiSolver::default());
     shared.prime(&dedup);
-    // One untimed pass fills the adaptive-threshold cache completely, so
-    // the timed runs below measure steady-state service throughput.
-    let warmup = solve_batch(&shared, &dedup, &listings, m, 4);
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host parallelism: {cores} core(s)");
-    for threads in [1, 2, 4, 8] {
+    // The first pass fills the adaptive-threshold cache completely; the
+    // second measures steady-state service throughput.
+    let mut solutions = Vec::new();
+    for pass in ["cold cache", "warm cache"] {
         let t0 = Instant::now();
-        let solutions = solve_batch(&shared, &dedup, &listings, m, threads);
+        solutions = solve_batch(&shared, &dedup, &listings, m);
         let elapsed = t0.elapsed();
         let total: usize = solutions.iter().map(|s| s.satisfied).sum();
         println!(
-            "{threads:>2} thread(s): {:>8.2?}  ({:.2} listings/ms, mean satisfied weight {:.1})",
+            "{pass}: {:>8.2?}  ({:.2} listings/ms, mean satisfied weight {:.1})",
             elapsed,
             listings.len() as f64 / elapsed.as_secs_f64() / 1e3,
             total as f64 / listings.len() as f64
         );
     }
-    if cores == 1 {
-        println!("(single-core host: thread overhead dominates; expect near-linear scaling on multi-core machines)");
-    }
 
     // Cross-check: solving against the raw (un-deduplicated) log gives
     // identical objective values — weights are exact, not approximate.
-    let best = warmup
+    let best = solutions
         .iter()
         .enumerate()
         .max_by_key(|(_, s)| s.satisfied)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Bench regression guard: compares the working-tree BENCH_*.json
 # artifacts against the committed baselines (git show HEAD:<file>) on
-# the key performance ratios, and enforces the absolute telemetry
-# contracts. A key ratio more than BENCH_GUARD_THRESHOLD_PCT (default
-# 15) percent below its baseline fails the guard.
+# the key performance ratios, config row by config row, and enforces
+# the absolute telemetry contracts. A key ratio more than
+# BENCH_GUARD_THRESHOLD_PCT (default 15) percent below its baseline
+# row fails the guard.
 #
 # Zero dependencies beyond git, grep, and awk — the artifacts are flat
 # JSON written by soc-bench's own emitter, so a line-oriented scrape of
@@ -23,36 +24,61 @@ avg_key() {
     awk -F': *' '{ s += $2; n++ } END { if (n) printf "%.6f\n", s / n; else print "NA" }'
 }
 
+# "name<TAB>value" for every config row on stdin that carries
+# "key": <number> and whose name matches the awk regex $2. Rows are one
+# line each (soc-bench's emitter renders them inline).
+row_values() {
+  awk -v key="$1" -v pat="$2" '
+    match($0, /"name": *"[^"]*"/) {
+      name = substr($0, RSTART, RLENGTH)
+      sub(/^"name": *"/, "", name)
+      sub(/"$/, "", name)
+      if (name !~ pat) next
+      if (match($0, "\"" key "\": *-?[0-9][0-9.e+-]*")) {
+        v = substr($0, RSTART, RLENGTH)
+        sub(/^[^:]*: */, "", v)
+        print name "\t" v
+      }
+    }'
+}
+
 # A higher-is-better ratio must not fall more than THRESHOLD_PCT below
-# the committed baseline. Missing files or keys skip (new experiments
-# have no baseline yet); that is reported, never silently dropped.
+# the committed baseline, compared row by row on the config "name" so
+# rows of different kinds never average into each other. The optional
+# third argument (an awk regex) restricts the check to matching names.
+# A missing file, key, or committed baseline skips (new experiments
+# have none yet); that is reported, never silently dropped. A guarded
+# row that vanishes from the fresh artifact fails.
 check_ratio() {
-  local file=$1 key=$2 base fresh
+  local file=$1 key=$2 pat=${3:-.} base fresh name b f
   if [ ! -f "$file" ]; then
     echo "  skip        $file: not in the working tree"
     return
   fi
-  base=$(git show "HEAD:$file" 2>/dev/null | avg_key "$key")
-  fresh=$(avg_key "$key" <"$file")
-  if [ -z "$base" ] || [ "$base" = NA ]; then
+  base=$(git show "HEAD:$file" 2>/dev/null | row_values "$key" "$pat")
+  fresh=$(row_values "$key" "$pat" <"$file")
+  if [ -z "$base" ]; then
     echo "  skip        $file/$key: no committed baseline"
     return
   fi
-  if [ "$fresh" = NA ]; then
-    echo "  FAIL        $file/$key: key vanished from the fresh artifact"
-    fail=1
-    return
-  fi
-  if ! awk -v b="$base" -v f="$fresh" -v t="$THRESHOLD_PCT" \
-    -v file="$file" -v key="$key" 'BEGIN {
-      lim = b * (1 - t / 100);
-      ok = (f >= lim);
-      printf "  %-11s %s/%s: baseline=%.3f fresh=%.3f floor=%.3f\n",
-             (ok ? "ok" : "REGRESSION"), file, key, b, f, lim;
-      exit ok ? 0 : 1
-    }'; then
-    fail=1
-  fi
+  while IFS=$'\t' read -r name b; do
+    f=$(printf '%s\n' "$fresh" | awk -F'\t' -v n="$name" '$1 == n { print $2; exit }')
+    if [ -z "$f" ]; then
+      echo "  FAIL        $file/$name/$key: row vanished from the fresh artifact"
+      fail=1
+      continue
+    fi
+    if ! awk -v b="$b" -v f="$f" -v t="$THRESHOLD_PCT" \
+      -v label="$file/$name/$key" 'BEGIN {
+        lim = b * (1 - t / 100);
+        ok = (f >= lim);
+        printf "  %-11s %s: baseline=%.3f fresh=%.3f floor=%.3f\n",
+               (ok ? "ok" : "REGRESSION"), label, b, f, lim;
+        exit ok ? 0 : 1
+      }'; then
+      fail=1
+    fi
+  done <<<"$base"
 }
 
 # An absolute ceiling on the fresh artifact (telemetry contracts).
@@ -79,9 +105,8 @@ check_max() {
 }
 
 echo "bench guard: ratios within ${THRESHOLD_PCT}% of the HEAD baselines"
-check_ratio BENCH_serving.json adaptive_vs_serial
-check_ratio BENCH_serving.json pool_vs_serial
-check_ratio BENCH_index.json speedup_vs_dense
+check_ratio BENCH_serving.json speedup_vs_baseline
+check_ratio BENCH_index.json speedup_vs_dense '/hybrid$'
 check_ratio BENCH_sketch.json speedup
 check_ratio BENCH_ilp.json throughput_vs_cold
 

@@ -33,12 +33,6 @@ cargo test -q --release --offline -p soc-bench smoke_obs_overhead_within_contrac
 echo "==> bench regression guard (working-tree BENCH_*.json vs HEAD baselines, >15% ratio regression or telemetry-contract violation fails)"
 scripts/bench_guard.sh
 
-echo "==> serving scheduler smoke (release: stealing within noise of chunked)"
-cargo test -q --release --offline -p soc-bench smoke_stealing_does_not_lose_to_static_chunking -- --ignored
-
-echo "==> parallelism perf gate (release: adaptive parallel config >= serial baseline, retried once; crossover recorded in BENCH_serving.json)"
-cargo test -q --release --offline -p soc-bench smoke_parallelism_pays_at_the_largest_workload -- --ignored --nocapture
-
 echo "==> sketch-and-refine smoke (release: gap <=5% vs exact at 10^3, >=5x speedup at 10^5, verified upper >= exact; retried once)"
 cargo test -q --release --offline -p soc-bench smoke_sketch_gap_and_speedup -- --ignored --nocapture
 

@@ -114,19 +114,19 @@ proptest! {
         prop_assert_eq!(got.satisfied, best);
     }
 
-    /// Batch solving matches sequential solving for any thread count.
+    /// Batch solving matches per-tuple solving, slot by slot.
     #[test]
     fn batch_matches_sequential(
         log in log_strategy(),
         tuples in proptest::collection::vec(proptest::collection::vec(any::<bool>(), M), 1..8),
         m in 0usize..=M,
-        threads in 1usize..6,
     ) {
         let tuples: Vec<Tuple> = tuples
             .iter()
             .map(|b| Tuple::new(AttrSet::from_bools(b)))
             .collect();
-        let batch = standout::core::solve_batch(&BruteForce, &log, &tuples, m, threads);
+        let batch = standout::core::solve_batch(&BruteForce, &log, &tuples, m);
+        prop_assert_eq!(batch.len(), tuples.len());
         for (tuple, sol) in tuples.iter().zip(&batch) {
             let seq = BruteForce.solve(&SocInstance::new(&log, tuple, m));
             prop_assert_eq!(sol.satisfied, seq.satisfied);
