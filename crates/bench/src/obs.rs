@@ -8,7 +8,7 @@
 //!
 //! - **disabled** — flags off; every recording call is one relaxed
 //!   atomic load plus a branch;
-//! - **metrics** — counters/gauges/histograms recording;
+//! - **metrics** — counters/gauges/sketches recording;
 //! - **metrics+tracing** — both subsystems recording.
 //!
 //! Per configuration the batch runs `reps` times and the **minimum**
@@ -20,15 +20,13 @@
 //!
 //! The second half (`obs2`) qualifies the quantile sketches: a
 //! deterministic heavy-tailed sample stream goes into a
-//! [`soc_obs::QuantileSketch`] and a power-of-two histogram side by
-//! side, and both are scored against the exact sorted-sample quantiles.
-//! The sketch must stay within its γ-derived relative-error bound
-//! (≈1%, contract ≤2%); the histogram's bucket-upper-bound answer on
-//! the same stream shows why the tail metrics moved to sketches.
+//! [`soc_obs::QuantileSketch`] and is scored against the exact
+//! sorted-sample quantiles. The sketch must stay within its γ-derived
+//! relative-error bound (≈1%, contract ≤2%).
 //!
 //! [`obs_overhead`] writes `BENCH_obs.json` with the per-config times,
-//! the overhead ratios, the latency sketch summary, the accuracy
-//! comparison, and the microbench costs.
+//! the overhead ratios, the latency sketch summary, the sketch
+//! accuracy, and the microbench costs.
 
 use std::time::Duration;
 
@@ -72,12 +70,12 @@ pub struct ObsParams {
     pub latency: soc_obs::SketchSnapshot,
     /// Spans collected by the tracing-enabled run.
     pub spans: usize,
-    /// Sketch-vs-histogram accuracy on a synthetic heavy-tailed stream.
+    /// Sketch accuracy on a synthetic heavy-tailed stream.
     pub accuracy: SketchAccuracy,
 }
 
-/// Accuracy and cost of the quantile sketch against exact quantiles
-/// and the power-of-two histogram, on the same deterministic samples.
+/// Accuracy and cost of the quantile sketch against exact quantiles on
+/// deterministic samples.
 #[derive(Clone, Debug)]
 pub struct SketchAccuracy {
     /// Samples in the synthetic stream.
@@ -86,8 +84,6 @@ pub struct SketchAccuracy {
     pub sketch_ns_per_record: f64,
     /// Worst sketch relative error across the scored quantiles, percent.
     pub sketch_max_rel_err_pct: f64,
-    /// Worst histogram (bucket upper bound) relative error, percent.
-    pub hist_max_rel_err_pct: f64,
 }
 
 /// Quantiles the accuracy comparison scores.
@@ -102,8 +98,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Deterministic Pareto-tailed "latencies": most samples sit near 50µs,
-/// the p999 reaches into the hundreds of milliseconds — the shape that
-/// makes power-of-two histogram buckets coarse exactly where it hurts.
+/// the p999 reaches into the hundreds of milliseconds — the shape where
+/// coarse buckets would be wrong exactly where it hurts.
 fn heavy_tailed_samples(n: usize) -> Vec<u64> {
     let mut state = 0x5EED_0B52_u64;
     (0..n)
@@ -123,14 +119,13 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Runs the sketch-vs-histogram accuracy comparison. Resets the metric
+/// Runs the sketch accuracy experiment. Resets the metric
 /// registry (call only after snapshotting anything you still need) and
 /// leaves metrics enabled.
 pub fn run_accuracy(samples: usize) -> SketchAccuracy {
     soc_obs::enable_metrics();
     soc_obs::reset_metrics();
     let sk = soc_obs::registry().sketch("obs.bench.accuracy_sketch");
-    let hist = soc_obs::registry().histogram("obs.bench.accuracy_hist");
     let data = heavy_tailed_samples(samples);
 
     let mut best = Duration::MAX;
@@ -143,28 +138,21 @@ pub fn run_accuracy(samples: usize) -> SketchAccuracy {
         });
         best = best.min(t);
     }
-    for &v in &data {
-        hist.record(v);
-    }
 
     let mut sorted = data.clone();
     sorted.sort_unstable();
     let ssnap = sk.snapshot();
-    let hsnap = hist.snapshot();
     let mut sketch_err = 0.0f64;
-    let mut hist_err = 0.0f64;
     for &q in &ACC_QUANTILES {
         let exact = exact_quantile(&sorted, q) as f64;
         // The sketch recorded the stream three times; identical streams
         // leave every quantile unchanged, so the comparison stands.
         sketch_err = sketch_err.max((ssnap.quantile(q) - exact).abs() / exact);
-        hist_err = hist_err.max((hsnap.quantile_upper(q) as f64 - exact).abs() / exact);
     }
     SketchAccuracy {
         samples,
         sketch_ns_per_record: best.as_secs_f64() * 1e9 / samples as f64,
         sketch_max_rel_err_pct: sketch_err * 100.0,
-        hist_max_rel_err_pct: hist_err * 100.0,
     }
 }
 
@@ -320,11 +308,10 @@ pub fn obs_overhead(scale: Scale) -> Table {
     let acc = &params.accuracy;
     table.note(format!(
         "sketch accuracy on {} heavy-tailed samples: worst rel err {:.3}% \
-         (bound {:.2}%) vs histogram upper-bound {:.1}%; {:.1} ns per enabled record",
+         (bound {:.2}%); {:.1} ns per enabled record",
         acc.samples,
         acc.sketch_max_rel_err_pct,
         soc_obs::SketchSnapshot::error_bound() * 100.0,
-        acc.hist_max_rel_err_pct,
         acc.sketch_ns_per_record
     ));
 
@@ -379,10 +366,6 @@ pub fn obs_json(params: &ObsParams, results: &[ObsResult], scale: Scale) -> Stri
                     format!("{:.4}", acc.sketch_max_rel_err_pct),
                 )
                 .raw(
-                    "hist_max_rel_err_pct",
-                    format!("{:.2}", acc.hist_max_rel_err_pct),
-                )
-                .raw(
                     "error_bound_pct",
                     format!("{:.4}", soc_obs::SketchSnapshot::error_bound() * 100.0),
                 )
@@ -429,7 +412,6 @@ mod tests {
                 samples: 1000,
                 sketch_ns_per_record: 12.5,
                 sketch_max_rel_err_pct: 0.8,
-                hist_max_rel_err_pct: 45.0,
             },
         };
         let mk = |name: &str, ms: u64| ObsResult {
@@ -449,6 +431,7 @@ mod tests {
         assert!(json.contains("\"instance_latency_us\": {\"count\": 2"));
         assert!(json.contains("\"sketch_accuracy\": {\"samples\": 1000"));
         assert!(json.contains("\"sketch_max_rel_err_pct\": 0.8000"));
+        assert!(!json.contains("hist_"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n  ]"));
@@ -471,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_beats_histogram_within_bound() {
+    fn sketch_accuracy_within_bound() {
         let acc = run_accuracy(30_000);
         soc_obs::disable_all();
         let bound_pct = soc_obs::SketchSnapshot::error_bound() * 100.0;
@@ -483,12 +466,6 @@ mod tests {
         assert!(
             acc.sketch_max_rel_err_pct <= 2.0,
             "sketch err {:.4}% exceeds the 2% contract",
-            acc.sketch_max_rel_err_pct
-        );
-        assert!(
-            acc.hist_max_rel_err_pct > acc.sketch_max_rel_err_pct,
-            "histogram ({:.2}%) should be coarser than the sketch ({:.4}%)",
-            acc.hist_max_rel_err_pct,
             acc.sketch_max_rel_err_pct
         );
     }

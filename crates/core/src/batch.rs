@@ -27,9 +27,8 @@ where
             let t0 = soc_obs::metrics_then_now();
             let solution = algorithm.solve(&SocInstance::new(log, tuple, m));
             if let Some(t0) = t0 {
-                // A quantile sketch, not a log₂ histogram: tail latencies
-                // (p99/p999) are read off within ~1% relative error instead
-                // of a 2× bucket bound (see soc_obs::QuantileSketch).
+                // Tail latencies (p99/p999) are read off within ~1%
+                // relative error (see soc_obs::QuantileSketch).
                 sketch!("serving.instance_us").record(soc_obs::clock::elapsed_us(t0));
             }
             solution

@@ -25,7 +25,7 @@ use soc_itemsets::{
     backtracking_mfi, BacktrackLimits, ComplementedLog, FrequentItemset, MfiConfig, MfiMiner,
     StopRule, ThresholdStrategy, WalkDirection,
 };
-use soc_obs::{counter, histogram};
+use soc_obs::{counter, sketch};
 use soc_rng::StdRng;
 
 use crate::{SocAlgorithm, SocInstance, Solution};
@@ -246,7 +246,7 @@ impl MfiSolver {
             let t0 = soc_obs::metrics_then_now();
             self.preprocess(pre, instance.log, r);
             if let Some(t0) = t0 {
-                histogram!("mfi.mine_us").record(soc_obs::clock::elapsed_us(t0));
+                sketch!("mfi.mine_us").record(soc_obs::clock::elapsed_us(t0));
             }
             let mfis = pre.get(r).expect("just mined");
             let t0 = soc_obs::metrics_then_now();
@@ -261,7 +261,7 @@ impl MfiSolver {
                 );
             }
             if let Some(t0) = t0 {
-                histogram!("mfi.attempt_us").record(soc_obs::clock::elapsed_us(t0));
+                sketch!("mfi.attempt_us").record(soc_obs::clock::elapsed_us(t0));
             }
             if let Some(sol) = attempted {
                 return sol;

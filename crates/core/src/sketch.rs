@@ -58,7 +58,7 @@
 //! the exactness anchor of `tests/sketch_diff.rs`.
 
 use soc_data::{cluster_log, AttrSet, ClusterConfig, ClusterDistance, Query, QueryLog, Tuple};
-use soc_obs::{counter, gauge, histogram};
+use soc_obs::{counter, gauge, sketch};
 
 use crate::{MfiSolver, SocAlgorithm, SocInstance, Solution};
 
@@ -224,7 +224,7 @@ impl<A: SocAlgorithm> SketchSolver<A> {
         }
         gauge!("sketch.clusters").set(k as i64);
         if let Some(t0) = t0 {
-            histogram!("sketch.cluster_us").record(soc_obs::clock::elapsed_us(t0));
+            sketch!("sketch.cluster_us").record(soc_obs::clock::elapsed_us(t0));
         }
 
         // Phase 3: per-cluster envelopes — union and intersection of the
@@ -271,7 +271,7 @@ impl<A: SocAlgorithm> SketchSolver<A> {
         let sketch_sol = self.inner.solve_with_hint(&sketch_inst, presolve);
         let sketch_true = rlog.satisfied_count(&Tuple::new(sketch_sol.retained.clone()));
         if let Some(t0) = t0 {
-            histogram!("sketch.sketch_us").record(soc_obs::clock::elapsed_us(t0));
+            sketch!("sketch.sketch_us").record(soc_obs::clock::elapsed_us(t0));
         }
 
         // Phase 5: refine under the `refine_cap` query budget. Clusters
@@ -340,7 +340,7 @@ impl<A: SocAlgorithm> SketchSolver<A> {
             }
         }
         if let Some(t0) = t0 {
-            histogram!("sketch.refine_us").record(soc_obs::clock::elapsed_us(t0));
+            sketch!("sketch.refine_us").record(soc_obs::clock::elapsed_us(t0));
         }
 
         // Phase 6: the upper bound. Structural: only clusters whose

@@ -67,7 +67,7 @@
 //! weights; `QueryLog` builds it lazily and caches it in a
 //! `OnceLock<Arc<LogIndex>>` (see DESIGN.md for the invalidation rules).
 
-use soc_obs::{counter, histogram};
+use soc_obs::{counter, sketch};
 
 use crate::{AttrSet, QueryLog, Tuple};
 
@@ -343,7 +343,7 @@ impl LogIndex {
         };
 
         if let Some(t0) = build_start {
-            histogram!("index.build_us").record(soc_obs::clock::elapsed_us(t0));
+            sketch!("index.build_us").record(soc_obs::clock::elapsed_us(t0));
         }
         LogIndex {
             num_queries,

@@ -10,7 +10,7 @@
 //! - **Saturating deltas**: all elapsed computations go through
 //!   [`Ticks::saturating_elapsed_since`] / [`saturating_delta_ns`],
 //!   which clamp at zero. Even if a caller mixes up start/end (or a
-//!   future clock source misbehaves), histogram recording can never
+//!   future clock source misbehaves), sketch recording can never
 //!   panic on underflow or file a negative duration into a bucket.
 //!
 //! `Duration` deliberately does not appear in this module's API: raw
@@ -64,7 +64,7 @@ pub fn saturating_delta_ns(start_ns: u64, end_ns: u64) -> u64 {
 }
 
 /// Microseconds elapsed since `start_ns` (a [`now_ns`] reading), clamped
-/// at zero — the common argument to a latency histogram.
+/// at zero — the common argument to a latency sketch.
 #[inline]
 pub fn elapsed_us(start_ns: u64) -> u64 {
     saturating_delta_ns(start_ns, now_ns()) / 1_000
@@ -88,7 +88,7 @@ mod tests {
     fn saturating_elapsed_clamps_reversed_arguments() {
         // Fabricated non-monotonic readings: "earlier" is numerically
         // larger. The delta must clamp to zero, not wrap to ~u64::MAX —
-        // a wrapped delta would land in the top histogram bucket and
+        // a wrapped delta would land in the top sketch bucket and
         // poison every percentile.
         let earlier = Ticks(1_000_000);
         let later = Ticks(999_000);

@@ -1,20 +1,20 @@
 //! # soc-obs
 //!
 //! A dependency-free observability substrate for the `standout`
-//! workspace: **metrics** (sharded atomic counters, gauges, fixed-bucket
-//! log₂ histograms, and DDSketch-style quantile sketches behind a static
-//! registry), **tracing** (lightweight RAII spans with monotonic
-//! timings, parent links, request-scoped [`TraceCtx`] propagation, and
-//! per-thread buffers flushed to a lock-free collector), and a **flight
-//! recorder** (bounded per-thread rings of recent span/event records
-//! that survive after spans are drained — see [`flight`]).
+//! workspace: **metrics** (sharded atomic counters, gauges, and
+//! DDSketch-style quantile sketches behind a static registry),
+//! **tracing** (lightweight RAII spans with monotonic timings, parent
+//! links, request-scoped [`TraceCtx`] propagation, and per-thread
+//! buffers flushed to a lock-free collector), and a **flight recorder**
+//! (one process-wide bounded ring of recent spans, each stamped with a
+//! sequence number — see [`flight`]).
 //!
 //! ## Why not a crate from the registry?
 //!
 //! The workspace builds fully offline with zero external dependencies
 //! (see DESIGN.md "Dependencies"); `metrics`/`tracing` are not available.
 //! The subset the solver, pool, miner, and serving layers need — relaxed
-//! counters, latency histograms, span timings — fits in one small crate.
+//! counters, latency sketches, span timings — fits in one small crate.
 //!
 //! ## The disabled fast path
 //!
@@ -29,7 +29,7 @@
 //! soc_obs::enable_metrics();
 //! let hits = soc_obs::counter!("example.hits");
 //! hits.inc();
-//! soc_obs::histogram!("example.latency_us").record(250);
+//! soc_obs::sketch!("example.latency_us").record(250);
 //! {
 //!     soc_obs::enable_tracing();
 //!     let _span = soc_obs::span!("example_work");
@@ -59,11 +59,7 @@ mod trace;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 pub use clock::Ticks;
-pub use flight::{event, FlightKind, FlightRecord};
-pub use metrics::{
-    format_rows, Counter, Gauge, HistSnapshot, Histogram, MetricRow, MetricValue, Registry,
-    Snapshot, BUCKETS,
-};
+pub use metrics::{format_rows, Counter, Gauge, MetricRow, MetricValue, Registry, Snapshot};
 pub use sketch::{QuantileSketch, SketchSnapshot, SKETCH_GAMMA};
 pub use trace::{
     ctx_guard, current_ctx, drain_spans, flame_table, flush_thread_spans, next_request_id, span,
@@ -128,7 +124,7 @@ pub fn enable_flight() {
     FLAGS.fetch_or(FLIGHT_BIT, Ordering::SeqCst);
 }
 
-/// Turns the flight recorder off. Recorded rings stay readable.
+/// Turns the flight recorder off. The ring stays readable.
 pub fn disable_flight() {
     FLAGS.fetch_and(!FLIGHT_BIT, Ordering::SeqCst);
 }
@@ -150,7 +146,7 @@ pub fn disable_all() {
 /// let t0 = soc_obs::metrics_then_now();
 /// // ... the measured work ...
 /// if let Some(t0) = t0 {
-///     soc_obs::histogram!("doc.example_us").record(soc_obs::clock::elapsed_us(t0));
+///     soc_obs::sketch!("doc.example_us").record(soc_obs::clock::elapsed_us(t0));
 /// }
 /// ```
 #[inline]
@@ -207,16 +203,6 @@ macro_rules! gauge {
     }};
 }
 
-/// Interns a [`Histogram`] by name, once per call site. See [`counter!`].
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::Histogram> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::registry().histogram($name))
-    }};
-}
-
 /// Interns a [`QuantileSketch`] by name, once per call site. See
 /// [`counter!`].
 #[macro_export]
@@ -234,16 +220,6 @@ macro_rules! sketch {
 macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
-    };
-}
-
-/// Records a flight-recorder point event (name + numeric detail),
-/// parented to the innermost open span:
-/// `event!("queue_depth", depth as u64);`
-#[macro_export]
-macro_rules! event {
-    ($name:expr, $detail:expr) => {
-        $crate::event($name, $detail)
     };
 }
 
@@ -283,7 +259,7 @@ mod tests {
         let _guard = FLAG_LOCK.lock().unwrap();
         disable_all();
         let c = counter!("test.lib.disabled_counter");
-        let h = histogram!("test.lib.disabled_hist");
+        let h = sketch!("test.lib.disabled_sketch");
         c.add(5);
         h.record(123);
         assert_eq!(c.value(), 0);

@@ -1,13 +1,13 @@
-//! Metrics: sharded counters, gauges, and log₂ histograms behind a
+//! Metrics: sharded counters, gauges, and quantile sketches behind a
 //! static registry.
 //!
 //! ## Shard/flush protocol
 //!
-//! Counters and histograms are striped across [`SHARDS`] cache-line-
-//! padded atomic cells; each thread hashes to a fixed stripe (a
-//! thread-local assigned round-robin on first use), so concurrent
-//! increments from the pool's workers hit distinct cache lines instead
-//! of bouncing one. Increments use `Relaxed` ordering — a metric cell
+//! Counters are striped across [`SHARDS`] cache-line-padded atomic
+//! cells (sketches across fewer, see [`crate::QuantileSketch`]); each
+//! thread hashes to a fixed stripe (a thread-local assigned round-robin
+//! on first use), so concurrent increments from connection threads and
+//! solver workers hit distinct cache lines instead of bouncing one. Increments use `Relaxed` ordering — a metric cell
 //! carries no control dependency, and torn *reads across shards* are
 //! acceptable mid-flight. Reads (`value`, `snapshot`) sum the stripes;
 //! exactness is guaranteed once the writing threads have been joined
@@ -27,13 +27,10 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::sketch::{QuantileSketch, SketchSnapshot};
 
-/// Stripes per counter/histogram. 16 covers the pool's worker counts on
-/// big hosts while keeping an idle counter at 1 KiB.
+/// Stripes per counter. 16 keeps the threads that record at once (one
+/// per served connection plus the solver workers) on mostly distinct
+/// stripes while keeping an idle counter at 1 KiB.
 pub(crate) const SHARDS: usize = 16;
-
-/// Histogram bucket count: bucket 0 holds the value 0, bucket `b ≥ 1`
-/// holds values in `[2^(b-1), 2^b)`; bucket 64 tops out the u64 range.
-pub const BUCKETS: usize = 65;
 
 #[repr(align(64))]
 #[derive(Default)]
@@ -120,155 +117,9 @@ impl Gauge {
     }
 }
 
-#[repr(align(64))]
-struct HistShard {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for HistShard {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The log₂ bucket of `v`: 0 for 0, else `⌊log₂ v⌋ + 1`.
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
-/// The largest value bucket `b` can hold: 0 for bucket 0 (which holds
-/// only the value 0), `2^b − 1` for `1 ≤ b ≤ 63`, and `u64::MAX` for the
-/// top bucket. Inclusive so quantile labels rendered as `p50<=` are
-/// literally true at every edge — the previous exclusive bound was off
-/// by one for buckets 1–63 and silently switched to inclusive at 64.
-fn bucket_upper(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
-    }
-}
-
-/// A fixed-bucket log₂ histogram of `u64` samples (typically
-/// microseconds), striped across shards like [`Counter`].
-pub struct Histogram {
-    shards: [HistShard; 8],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| HistShard::default()),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample (no-op while metrics are disabled).
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !crate::metrics_enabled() {
-            return;
-        }
-        let shard = &self.shards[shard_id() % self.shards.len()];
-        shard.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        // Saturating, not wrapping: two `u64::MAX` samples must not fold
-        // the shard sum back to small values (`fetch_add` wraps).
-        let _ = shard
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(v))
-            });
-        shard.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time copy (see the module docs for
-    /// the exactness contract).
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        let mut sum = 0u64;
-        let mut max = 0u64;
-        for s in &self.shards {
-            for (b, cell) in buckets.iter_mut().zip(&s.buckets) {
-                *b += cell.load(Ordering::Relaxed);
-            }
-            sum = sum.saturating_add(s.sum.load(Ordering::Relaxed));
-            max = max.max(s.max.load(Ordering::Relaxed));
-        }
-        HistSnapshot {
-            count: buckets.iter().sum(),
-            sum,
-            max,
-            buckets,
-        }
-    }
-
-    fn reset(&self) {
-        for s in &self.shards {
-            for b in &s.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            s.sum.store(0, Ordering::Relaxed);
-            s.max.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A point-in-time copy of one histogram.
-#[derive(Clone, Debug)]
-pub struct HistSnapshot {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Per-bucket counts (see [`BUCKETS`] for the bucket layout).
-    pub buckets: [u64; BUCKETS],
-}
-
-impl HistSnapshot {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Inclusive upper bound of the bucket containing quantile
-    /// `q in [0, 1]` (0 when empty): the quantile value is `<=` the
-    /// returned number. Log₂ buckets bound the estimate within 2×.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        u64::MAX
-    }
-}
-
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
     Sketch(&'static QuantileSketch),
 }
 
@@ -277,7 +128,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
             Metric::Sketch(_) => "sketch",
         }
     }
@@ -338,17 +188,6 @@ impl Registry {
         })
     }
 
-    /// The histogram named `name`, created on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is registered as a different metric kind.
-    pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        self.intern(name, Metric::Histogram, |m| match m {
-            Metric::Histogram(h) => Some(h),
-            _ => None,
-        })
-    }
-
     /// The quantile sketch named `name`, created on first use.
     ///
     /// # Panics
@@ -371,7 +210,6 @@ impl Registry {
                     value: match m {
                         Metric::Counter(c) => MetricValue::Counter(c.value()),
                         Metric::Gauge(g) => MetricValue::Gauge(g.value()),
-                        Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                         Metric::Sketch(s) => MetricValue::Sketch(Box::new(s.snapshot())),
                     },
                 })
@@ -386,7 +224,6 @@ impl Registry {
             match m {
                 Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
                 Metric::Sketch(s) => s.reset(),
             }
         }
@@ -411,8 +248,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge level.
     Gauge(i64),
-    /// Histogram summary (boxed: a snapshot carries 65 buckets).
-    Histogram(Box<HistSnapshot>),
     /// Quantile-sketch summary (boxed: sparse bucket list).
     Sketch(Box<SketchSnapshot>),
     /// A derived floating-point statistic.
@@ -445,8 +280,7 @@ impl Snapshot {
     }
 
     /// Renders as one JSON object: counters/gauges as numbers,
-    /// histograms as `{count, sum, max, mean, p50, p99, buckets}` with
-    /// empty buckets trimmed from the tail.
+    /// sketches as `{count, sum, max, mean, p50, p90, p99, p999}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, row) in self.rows.iter().enumerate() {
@@ -469,22 +303,6 @@ impl Snapshot {
                         s.quantile(0.999),
                     ));
                 }
-                MetricValue::Histogram(h) => {
-                    let last = h.buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-                    let buckets: Vec<String> =
-                        h.buckets[..last].iter().map(u64::to_string).collect();
-                    out.push_str(&format!(
-                        "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.3}, \
-                         \"p50_le\": {}, \"p99_le\": {}, \"buckets\": [{}]}}",
-                        h.count,
-                        h.sum,
-                        h.max,
-                        h.mean(),
-                        h.quantile_upper(0.50),
-                        h.quantile_upper(0.99),
-                        buckets.join(", ")
-                    ));
-                }
             }
             out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
         }
@@ -493,11 +311,10 @@ impl Snapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): counters/gauges as single samples, histograms
-    /// and sketches as `summary` families with `quantile` labels plus
-    /// `_sum`/`_count`. Names are prefixed `soc_` and sanitized to
-    /// `[a-zA-Z0-9_:]`; histogram quantiles are log₂ *upper bounds*,
-    /// sketch quantiles are ≈1%-relative-error estimates.
+    /// (version 0.0.4): counters/gauges as single samples, sketches as
+    /// `summary` families with `quantile` labels plus `_sum`/`_count`.
+    /// Names are prefixed `soc_` and sanitized to `[a-zA-Z0-9_:]`;
+    /// quantiles are ≈1%-relative-error estimates.
     pub fn to_prometheus(&self) -> String {
         fn sanitize(name: &str) -> String {
             let mut out = String::with_capacity(name.len() + 4);
@@ -525,16 +342,6 @@ impl Snapshot {
                 MetricValue::Float(v) => {
                     out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
                 }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("# TYPE {name} summary\n"));
-                    for (q, label) in QS {
-                        out.push_str(&format!(
-                            "{name}{{quantile=\"{label}\"}} {}\n",
-                            h.quantile_upper(q)
-                        ));
-                    }
-                    out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-                }
                 MetricValue::Sketch(s) => {
                     out.push_str(&format!("# TYPE {name} summary\n"));
                     for (q, label) in QS {
@@ -561,14 +368,6 @@ pub fn format_rows(rows: &[MetricRow]) -> String {
             MetricValue::Counter(v) => v.to_string(),
             MetricValue::Gauge(v) => v.to_string(),
             MetricValue::Float(v) => format!("{v:.3}"),
-            MetricValue::Histogram(h) => format!(
-                "count={} mean={:.1} p50<={} p99<={} max={}",
-                h.count,
-                h.mean(),
-                h.quantile_upper(0.50),
-                h.quantile_upper(0.99),
-                h.max
-            ),
             MetricValue::Sketch(s) => format!(
                 "count={} mean={:.1} p50~{:.0} p90~{:.0} p99~{:.0} p999~{:.0} max={}",
                 s.count,
@@ -591,53 +390,11 @@ mod tests {
     use crate::tests::FLAG_LOCK;
 
     #[test]
-    fn bucket_layout() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), 64);
-        assert_eq!(bucket_upper(0), 0);
-        assert_eq!(bucket_upper(1), 1);
-        assert_eq!(bucket_upper(10), 1023);
-        assert_eq!(bucket_upper(63), u64::MAX >> 1);
-        assert_eq!(bucket_upper(64), u64::MAX);
-        // The top-bucket boundary: 2^63 − 1 is the last value of bucket
-        // 63, 2^63 the first of bucket 64.
-        assert_eq!(bucket_of((1u64 << 63) - 1), 63);
-        assert_eq!(bucket_of(1u64 << 63), 64);
-    }
-
-    #[test]
-    fn histogram_edge_values_zero_and_max() {
-        let _guard = FLAG_LOCK.lock().unwrap();
-        crate::enable_metrics();
-        let h = global().histogram("test.metrics.edges");
-        h.reset();
-        h.record(0);
-        h.record(u64::MAX);
-        h.record(u64::MAX); // sum must saturate, not wrap
-        let s = h.snapshot();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[64], 2);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.sum, u64::MAX, "sum saturates instead of wrapping");
-        // Quantile bounds stay inside the recorded range at both edges.
-        assert_eq!(s.quantile_upper(0.0), 0);
-        assert_eq!(s.quantile_upper(1.0), u64::MAX);
-        crate::disable_all();
-    }
-
-    #[test]
-    fn counter_and_histogram_record_when_enabled() {
+    fn counter_and_sketch_record_when_enabled() {
         let _guard = FLAG_LOCK.lock().unwrap();
         crate::enable_metrics();
         let c = global().counter("test.metrics.counter");
-        let h = global().histogram("test.metrics.hist");
+        let h = global().sketch("test.metrics.dist");
         c.reset();
         h.reset();
         c.add(3);
@@ -650,11 +407,10 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 1016);
         assert_eq!(s.max, 1000);
-        assert_eq!(s.buckets[0], 1); // 0
-        assert_eq!(s.buckets[1], 1); // 1
-        assert_eq!(s.buckets[3], 1); // 7
-        assert_eq!(s.buckets[4], 1); // 8
-        assert_eq!(s.buckets[10], 1); // 1000
+        assert_eq!(s.zero, 1, "0 has its own bucket");
+        // 1, 7, 8 and 1000 each land in their own geometric bucket.
+        assert_eq!(s.buckets.len(), 4, "{:?}", s.buckets);
+        assert!(s.buckets.iter().all(|&(_, c)| c == 1), "{:?}", s.buckets);
         crate::disable_all();
     }
 
@@ -668,26 +424,6 @@ mod tests {
         assert_eq!(g.value(), 7);
         g.reset();
         assert_eq!(g.value(), 0);
-        crate::disable_all();
-    }
-
-    #[test]
-    fn quantiles_from_buckets() {
-        let _guard = FLAG_LOCK.lock().unwrap();
-        crate::enable_metrics();
-        let h = global().histogram("test.metrics.quant");
-        h.reset();
-        // 90 fast samples (~16us), 10 slow (~4096us).
-        for _ in 0..90 {
-            h.record(10);
-        }
-        for _ in 0..10 {
-            h.record(3000);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.quantile_upper(0.5), 15); // bucket [8, 16) inclusive upper
-        assert_eq!(s.quantile_upper(0.99), 4095); // bucket [2048, 4096)
-        assert_eq!(s.quantile_upper(0.0), 15); // rank floors at 1
         crate::disable_all();
     }
 
@@ -744,8 +480,8 @@ mod tests {
         crate::enable_metrics();
         global().counter("test.metrics.render_c").reset();
         global().counter("test.metrics.render_c").add(12);
-        global().histogram("test.metrics.render_h").reset();
-        global().histogram("test.metrics.render_h").record(100);
+        global().sketch("test.metrics.render_s").reset();
+        global().sketch("test.metrics.render_s").record(100);
         let snap = global().snapshot().with_prefix("test.metrics.render");
         assert_eq!(snap.rows.len(), 2);
         let table = snap.to_table();
@@ -786,7 +522,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different kind")]
     fn sketch_kind_clash_panics() {
-        let _ = global().histogram("test.metrics.sk_clash");
+        let _ = global().counter("test.metrics.sk_clash");
         let _ = global().sketch("test.metrics.sk_clash");
     }
 
@@ -797,8 +533,6 @@ mod tests {
         global().counter("test.metrics.prom_c").reset();
         global().counter("test.metrics.prom_c").add(7);
         global().gauge("test.metrics.prom-g").set(-2);
-        global().histogram("test.metrics.prom_h").reset();
-        global().histogram("test.metrics.prom_h").record(1000);
         global().sketch("test.metrics.prom_s").reset();
         global().sketch("test.metrics.prom_s").record(500);
         let text = global()
@@ -813,14 +547,16 @@ mod tests {
         // '-' sanitized to '_'.
         assert!(text.contains("soc_test_metrics_prom_g -2"), "{text}");
         assert!(
-            text.contains("soc_test_metrics_prom_h{quantile=\"0.99\"} 1023"),
+            text.contains("# TYPE soc_test_metrics_prom_s summary"),
             "{text}"
         );
-        assert!(text.contains("soc_test_metrics_prom_h_count 1"), "{text}");
-        assert!(
-            text.contains("soc_test_metrics_prom_s{quantile=\"0.5\"}"),
-            "{text}"
-        );
+        for q in ["0.5", "0.9", "0.99", "0.999"] {
+            assert!(
+                text.contains(&format!("soc_test_metrics_prom_s{{quantile=\"{q}\"}}")),
+                "{text}"
+            );
+        }
+        assert!(text.contains("soc_test_metrics_prom_s_count 1"), "{text}");
         assert!(text.contains("soc_test_metrics_prom_s_sum 500"), "{text}");
         // Every non-comment line is "name[{labels}] value".
         for line in text.lines().filter(|l| !l.starts_with('#')) {

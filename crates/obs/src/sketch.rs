@@ -5,8 +5,8 @@
 //! bucket). Any value in bucket `i` lies in `(γ^(i-1), γ^i]`, so the
 //! midpoint estimate `2γ^i / (γ+1)` is within a **relative error of
 //! α = (γ−1)/(γ+1) ≈ 1%** of the true value — at *every* quantile, not
-//! just the median. Compare the log₂ histograms in [`crate::metrics`],
-//! whose buckets bound a quantile only to within 2×.
+//! just the median. It is the registry's only distribution type: every
+//! latency and depth metric is a sketch.
 //!
 //! The structure is fixed-size (the bucket count depends only on γ and
 //! the u64 range, never on the data), striped across a few cache-line-
@@ -100,7 +100,8 @@ impl QuantileSketch {
         } else {
             shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         }
-        // Saturating like Histogram: extreme samples must not wrap.
+        // Saturating, not wrapping: two `u64::MAX` samples must not fold
+        // the shard sum back to small values (`fetch_add` wraps).
         let _ = shard
             .sum
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {

@@ -15,12 +15,12 @@
 //!
 //! A [`TraceCtx`] carries a request id plus the span id to parent the
 //! next *root* span under. It is installed per thread via [`ctx_guard`]
-//! and captured for handoff via [`current_ctx`]; a thread-pool boundary
+//! and captured for handoff via [`current_ctx`]; a thread boundary
 //! propagates it by capturing on the submitting thread and installing
-//! inside the worker (see `soc_pool`). Every span closed while a ctx is
-//! installed carries its request id, and a root span (empty local
-//! stack) parents to `ctx.parent` — so one request's spans stitch into
-//! a single tree across threads.
+//! on the receiving one (`soc_pool::Service` does this for every job).
+//! Every span closed while a ctx is installed carries its request id,
+//! and a root span (empty local stack) parents to `ctx.parent` — so one
+//! request's spans stitch into a single tree across threads.
 //!
 //! ## Flush protocol
 //!
@@ -33,6 +33,11 @@
 //! `(thread, start)`. Spans still open, or buffered on other
 //! still-running threads, are not included — drain after joining the
 //! workers whose spans you want.
+//!
+//! The collector is lossless and drain-once. Separately, while the
+//! flight recorder is on, every span is also pushed into the bounded
+//! [`crate::flight`] ring at close, which readers copy without
+//! consuming.
 
 use std::cell::RefCell;
 use std::ptr;
@@ -300,7 +305,7 @@ impl Drop for SpanGuard {
                 dur_ns,
             };
             if crate::flight_enabled() {
-                crate::flight::record_span(&record);
+                crate::flight::push(record.clone());
             }
             if crate::tracing_enabled() {
                 t.buf.push(record);
@@ -310,20 +315,6 @@ impl Drop for SpanGuard {
             }
         });
     }
-}
-
-/// The innermost span currently open on the calling thread (0 = none),
-/// the installed request id (0 = none), and the thread serial. Used by
-/// flight-recorder events to attach themselves to the enclosing span.
-pub(crate) fn current_span_and_request() -> (u64, u64, u64) {
-    THREAD_SPANS.with(|t| {
-        let t = t.borrow();
-        (
-            t.stack.last().copied().unwrap_or(0),
-            t.ctx.map_or(0, |c| c.request),
-            t.thread,
-        )
-    })
 }
 
 /// Renders spans as JSON lines, one object per span, fields:

@@ -1,5 +1,5 @@
 //! Concurrency contract of the metrics layer: hammer one counter and
-//! one histogram from scoped worker threads and assert *exact* totals
+//! one sketch from scoped worker threads and assert *exact* totals
 //! after the scope joins — the registry's "flush" is the join's
 //! happens-before edge (see the soc-obs module docs), so sharded
 //! relaxed increments must still sum to the true count.
@@ -49,7 +49,7 @@ fn thread_hammer_totals_are_exact() {
     let _serial = metrics_lock();
     soc_obs::enable_metrics();
     let c = soc_obs::counter!("test.conc.hammer_counter");
-    let h = soc_obs::histogram!("test.conc.hammer_hist");
+    let h = soc_obs::sketch!("test.conc.hammer_dist");
 
     const TASKS: usize = 512;
     const OPS_PER_TASK: usize = 1_000;
@@ -58,7 +58,7 @@ fn thread_hammer_totals_are_exact() {
         let out = map_on_threads(threads, TASKS, |i| {
             for k in 0..OPS_PER_TASK {
                 c.inc();
-                // Values spread over many log2 buckets, deterministically.
+                // Values spread over many sketch buckets, deterministically.
                 h.record(((i * OPS_PER_TASK + k) % 4096) as u64);
             }
             i
@@ -81,7 +81,11 @@ fn thread_hammer_totals_are_exact() {
         let expected_sum: u64 = (0..TASKS * OPS_PER_TASK).map(|v| (v % 4096) as u64).sum();
         assert_eq!(snap.sum, expected_sum, "threads={threads}");
         assert_eq!(snap.max, 4095);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
+        assert_eq!(snap.zero, (TASKS * OPS_PER_TASK / 4096) as u64);
+        assert_eq!(
+            snap.zero + snap.buckets.iter().map(|&(_, c)| c).sum::<u64>(),
+            snap.count
+        );
     }
     soc_obs::disable_metrics();
 }

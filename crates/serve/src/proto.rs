@@ -234,8 +234,8 @@ pub enum Request {
         /// Request id as returned in `solve_ok` / `solve_batch_done`.
         request: u64,
     },
-    /// Flight-recorder dump: recent span/event records, optionally
-    /// filtered to one request, plus stored slow-request postmortems.
+    /// Flight-recorder dump: the recent spans in the ring, optionally
+    /// filtered to one request, preferring a slow-request postmortem.
     DumpFlight {
         /// Restrict to this request id.
         request: Option<u64>,

@@ -41,7 +41,7 @@ use crate::proto::{
     PROTOCOL_VERSION,
 };
 use crate::sessions::SessionStore;
-use crate::telemetry::{FlightStore, SpanStore, TenantStats, STATS_SPANS_MAX};
+use crate::telemetry::{FlightStore, TenantStats, STATS_SPANS_MAX};
 
 /// How often a blocked connection read wakes up to check the shutdown
 /// flag and the idle clock.
@@ -111,7 +111,6 @@ struct Shared {
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     requests: AtomicU64,
-    spans: SpanStore,
     tenants: TenantStats,
     flight: FlightStore,
 }
@@ -167,7 +166,12 @@ impl Server {
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
         let addr = listener.local_addr()?;
-        soc_obs::enable_all();
+        // Metrics plus the flight ring: every served span is stored once,
+        // in the ring that `stats`, `trace` and `dump_flight` read.
+        // Tracing stays off so nothing accumulates in the drain-once
+        // collector, which no server frame reads.
+        soc_obs::enable_metrics();
+        soc_obs::enable_flight();
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             addr,
@@ -176,7 +180,6 @@ impl Server {
             conns_accepted: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-            spans: SpanStore::new(),
             tenants: TenantStats::new(),
             flight: FlightStore::new(),
         });
@@ -475,10 +478,7 @@ impl Connection<'_> {
             let _root = soc_obs::span("serve_frame");
             self.dispatch(request, id.as_ref(), writer, hello_done, request_id)
         };
-        // The root span closed (connection threads have no enclosing
-        // span), so the thread buffer flushed; pin the records behind a
-        // stable cursor before any client can race a destructive drain.
-        self.shared.spans.absorb();
+        // The root span closed, so the whole request tree is in the ring.
         if let Some(slow_ms) = self.cfg.slow_ms {
             let frame_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             if frame_us >= slow_ms.saturating_mul(1000) {
@@ -545,21 +545,15 @@ impl Connection<'_> {
             Request::SolveBatch { params, tuples } => {
                 self.handle_solve_batch(writer, id, params, tuples, request_id)?;
             }
-            Request::Stats { since } => {
-                // Pin everything flushed so far behind the cursor before
-                // answering, so the reply reflects completed frames.
-                self.shared.spans.absorb();
-                match stats_frame(self.shared, id, since) {
-                    Ok(frame) => send(writer, &frame)?,
-                    Err(e) => {
-                        counter!("serve.errors").inc();
-                        send(writer, &error_frame(id, &e))?;
-                    }
+            Request::Stats { since } => match stats_frame(self.shared, id, since) {
+                Ok(frame) => send(writer, &frame)?,
+                Err(e) => {
+                    counter!("serve.errors").inc();
+                    send(writer, &error_frame(id, &e))?;
                 }
-            }
+            },
             Request::Trace { request } => {
-                self.shared.spans.absorb();
-                send(writer, &trace_frame(self.shared, id, request))?;
+                send(writer, &trace_frame(id, request))?;
             }
             Request::DumpFlight { request } => {
                 send(writer, &flight_frame(self.shared, id, request))?;
@@ -924,7 +918,13 @@ fn stats_frame(
     id: Option<&Json>,
     since: Option<u64>,
 ) -> Result<String, ProtoError> {
-    let (stored, cursor) = shared.spans.query(since, STATS_SPANS_MAX)?;
+    let since = since.unwrap_or(0);
+    let (page, cursor) = soc_obs::flight::page(since, STATS_SPANS_MAX).map_err(|next| {
+        ProtoError::new(
+            ErrorCode::BadField,
+            format!("since {since} is beyond the span cursor {next}"),
+        )
+    })?;
     let snapshot = soc_obs::registry().snapshot();
     let metrics: Vec<(String, Json)> = snapshot
         .rows
@@ -934,14 +934,6 @@ fn stats_frame(
                 MetricValue::Counter(v) => json::nu(*v),
                 MetricValue::Gauge(v) => Json::Num(*v as f64),
                 MetricValue::Float(v) => Json::Num(*v),
-                MetricValue::Histogram(h) => json::obj([
-                    ("count", json::nu(h.count)),
-                    ("sum", json::nu(h.sum)),
-                    ("max", json::nu(h.max)),
-                    ("mean", Json::Num(h.mean())),
-                    ("p50_le", json::nu(h.quantile_upper(0.5))),
-                    ("p99_le", json::nu(h.quantile_upper(0.99))),
-                ]),
                 MetricValue::Sketch(s) => json::obj([
                     ("count", json::nu(s.count)),
                     ("sum", json::nu(s.sum)),
@@ -957,10 +949,10 @@ fn stats_frame(
         })
         .collect();
 
-    let spans: Vec<Json> = stored
+    let spans: Vec<Json> = page
         .iter()
         .map(|s| {
-            let Json::Obj(mut fields) = span_json(&s.record) else {
+            let Json::Obj(mut fields) = span_json(&s.span) else {
                 unreachable!("span_json returns an object");
             };
             fields.insert(0, ("seq".to_string(), json::nu(s.seq)));
@@ -1005,8 +997,8 @@ fn stats_frame(
 
 /// Renders the `trace_ok` frame: every retained span of one request,
 /// oldest first — the stitched cross-thread tree.
-fn trace_frame(shared: &Shared, id: Option<&Json>, request: u64) -> String {
-    let records = shared.spans.for_request(request);
+fn trace_frame(id: Option<&Json>, request: u64) -> String {
+    let records = soc_obs::flight::for_request(request);
     let spans: Vec<Json> = records.iter().map(span_json).collect();
     reply_frame(
         "trace_ok",
@@ -1023,8 +1015,9 @@ fn trace_frame(shared: &Shared, id: Option<&Json>, request: u64) -> String {
 const FLIGHT_DUMP_MAX: usize = 1024;
 
 /// Renders the `flight_ok` frame: a flight-recorder dump, either the
-/// full live rings or one request's records (postmortem-pinned when a
-/// slow-frame capture exists).
+/// whole live ring or one request's spans (postmortem-pinned when a
+/// slow-frame capture exists). Every record is a span, so `kind` is
+/// always `"span"` and `detail` always 0.
 fn flight_frame(shared: &Shared, id: Option<&Json>, request: Option<u64>) -> String {
     let (mut records, source, frame_us) = shared.flight.dump(request);
     let total = records.len();
@@ -1036,19 +1029,19 @@ fn flight_frame(shared: &Shared, id: Option<&Json>, request: Option<u64>) -> Str
         .map(|r| {
             json::obj([
                 ("name", json::s(r.name)),
-                ("kind", json::s(r.kind.as_str())),
+                ("kind", json::s("span")),
                 ("id", json::nu(r.id)),
                 ("parent", json::nu(r.parent)),
                 ("request", json::nu(r.request)),
                 ("thread", json::nu(r.thread)),
                 ("start_ns", json::nu(r.start_ns)),
                 ("dur_ns", json::nu(r.dur_ns)),
-                ("detail", json::nu(r.detail)),
+                ("detail", json::nu(0)),
             ])
         })
         .collect();
     let mut fields = vec![
-        ("source", json::s(source.as_str())),
+        ("source", json::s(source)),
         ("count", json::nu(rows.len() as u64)),
         ("truncated", json::nu((total - rows.len()) as u64)),
     ];

@@ -1,124 +1,22 @@
-//! Serve-side telemetry stores, all bounded: a span history with a
-//! stable cursor (backs `stats` and `trace` frames), per-tenant request
-//! counters, and slow-request flight-recorder postmortems.
-//!
-//! The global span collector in `soc-obs` is drain-once: whoever calls
-//! [`soc_obs::drain_spans`] consumes the records. The server therefore
-//! funnels every drain through [`SpanStore::absorb`], which stamps each
-//! record with a process-wide sequence number so clients can page with
-//! `since` cursors instead of racing each other for a destructive read.
+//! Serve-side telemetry stores, all bounded: per-tenant request
+//! counters and slow-request postmortems. Spans live in the process-wide
+//! flight ring in `soc-obs` ([`soc_obs::flight`]); `stats`, `trace` and
+//! `dump_flight` read it directly.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
-use soc_obs::{FlightRecord, SpanRecord};
+use soc_obs::SpanRecord;
 
-use crate::proto::{ErrorCode, ProtoError};
-
-/// How many spans the store retains before evicting the oldest.
-const SPAN_STORE_CAP: usize = 4096;
 /// Most spans one `stats` reply carries (page with `since` for more).
 pub(crate) const STATS_SPANS_MAX: usize = 64;
 /// Most slow-request postmortems retained.
 const POSTMORTEM_CAP: usize = 16;
 
-/// A span plus the sequence number the store stamped it with.
-#[derive(Clone, Debug)]
-pub(crate) struct StoredSpan {
-    /// Position in the store's total order; the `stats` cursor space.
-    pub seq: u64,
-    /// The span itself.
-    pub record: SpanRecord,
-}
-
-struct SpanStoreInner {
-    spans: VecDeque<StoredSpan>,
-    next_seq: u64,
-}
-
-/// Bounded, cursor-addressable history of completed spans.
-pub(crate) struct SpanStore {
-    inner: Mutex<SpanStoreInner>,
-}
-
 /// Telemetry must never take the server down: a panic while holding one
 /// of these locks only loses records, so poisoning is ignored.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl SpanStore {
-    pub(crate) fn new() -> Self {
-        Self {
-            inner: Mutex::new(SpanStoreInner {
-                spans: VecDeque::new(),
-                next_seq: 0,
-            }),
-        }
-    }
-
-    /// Drains the global collector into the store, stamping sequence
-    /// numbers. Called after every served frame and before every read.
-    pub(crate) fn absorb(&self) {
-        let drained = soc_obs::drain_spans();
-        if drained.is_empty() {
-            return;
-        }
-        let mut inner = lock(&self.inner);
-        for record in drained {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.spans.push_back(StoredSpan { seq, record });
-            if inner.spans.len() > SPAN_STORE_CAP {
-                inner.spans.pop_front();
-            }
-        }
-    }
-
-    /// Spans with `seq >= since` (everything retained when `since` is
-    /// absent), oldest first, at most `max`. Returns the records plus
-    /// the cursor to pass as `since` next time: past the last returned
-    /// span when the page was full, else past everything seen so far.
-    /// A cursor beyond the store's frontier is a typed error.
-    pub(crate) fn query(
-        &self,
-        since: Option<u64>,
-        max: usize,
-    ) -> Result<(Vec<StoredSpan>, u64), ProtoError> {
-        let inner = lock(&self.inner);
-        let next = inner.next_seq;
-        if let Some(s) = since {
-            if s > next {
-                return Err(ProtoError::new(
-                    ErrorCode::BadField,
-                    format!("since {s} is beyond the span cursor {next}"),
-                ));
-            }
-        }
-        let from = since.unwrap_or(0);
-        let matching = inner.spans.iter().filter(|s| s.seq >= from);
-        let out: Vec<StoredSpan> = matching.clone().take(max).cloned().collect();
-        let truncated = matching.count() > out.len();
-        let cursor = if truncated {
-            out.last().map_or(next, |s| s.seq + 1)
-        } else {
-            next
-        };
-        Ok((out, cursor))
-    }
-
-    /// Every retained span recorded under `request`, oldest first.
-    pub(crate) fn for_request(&self, request: u64) -> Vec<SpanRecord> {
-        let inner = lock(&self.inner);
-        let mut out: Vec<SpanRecord> = inner
-            .spans
-            .iter()
-            .filter(|s| s.record.request == request)
-            .map(|s| s.record.clone())
-            .collect();
-        out.sort_by_key(|r| (r.start_ns, r.thread));
-        out
-    }
 }
 
 /// Counters for one tenant (session name), reported in `stats`.
@@ -187,26 +85,8 @@ pub(crate) struct Postmortem {
     pub request: u64,
     /// How long the frame took end to end, microseconds.
     pub frame_us: u64,
-    /// The request's flight records at capture time.
-    pub records: Vec<FlightRecord>,
-}
-
-/// What a flight dump was served from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlightSource {
-    /// The live per-thread rings.
-    Live,
-    /// A retained slow-request postmortem.
-    Postmortem,
-}
-
-impl FlightSource {
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            FlightSource::Live => "live",
-            FlightSource::Postmortem => "postmortem",
-        }
-    }
+    /// The request's spans at capture time.
+    pub records: Vec<SpanRecord>,
 }
 
 /// Bounded queue of slow-request postmortems.
@@ -221,9 +101,9 @@ impl FlightStore {
         }
     }
 
-    /// Captures the flight records of `request` (a frame that just ran
-    /// for `frame_us` ≥ the slow threshold). Empty captures are kept
-    /// too: "the recorder saw nothing" is itself a postmortem finding.
+    /// Captures the spans of `request` (a frame that just ran for
+    /// `frame_us` ≥ the slow threshold). Empty captures are kept too:
+    /// "the recorder saw nothing" is itself a postmortem finding.
     pub(crate) fn capture(&self, request: u64, frame_us: u64) {
         let records = soc_obs::flight::for_request(request);
         let mut inner = lock(&self.inner);
@@ -242,27 +122,24 @@ impl FlightStore {
         lock(&self.inner).len()
     }
 
-    /// Records for a `dump_flight` frame. A specific request prefers
-    /// the newest matching postmortem (the capture is pinned even after
-    /// the live rings wrap) and falls back to the live rings; no request
-    /// means the full live snapshot.
+    /// Spans for a `dump_flight` frame and their source (`"live"` or
+    /// `"postmortem"`). A specific request prefers the newest matching
+    /// postmortem (the capture is pinned even after the ring wraps) and
+    /// falls back to the live ring; no request means the whole ring, in
+    /// push order.
     pub(crate) fn dump(
         &self,
         request: Option<u64>,
-    ) -> (Vec<FlightRecord>, FlightSource, Option<u64>) {
+    ) -> (Vec<SpanRecord>, &'static str, Option<u64>) {
         match request {
-            None => (soc_obs::flight::snapshot(), FlightSource::Live, None),
+            None => (soc_obs::flight::snapshot(), "live", None),
             Some(r) => {
                 let inner = lock(&self.inner);
                 if let Some(p) = inner.iter().rev().find(|p| p.request == r) {
-                    return (
-                        p.records.clone(),
-                        FlightSource::Postmortem,
-                        Some(p.frame_us),
-                    );
+                    return (p.records.clone(), "postmortem", Some(p.frame_us));
                 }
                 drop(inner);
-                (soc_obs::flight::for_request(r), FlightSource::Live, None)
+                (soc_obs::flight::for_request(r), "live", None)
             }
         }
     }
@@ -271,60 +148,6 @@ impl FlightStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(request: u64, start_ns: u64) -> SpanRecord {
-        SpanRecord {
-            name: "t",
-            id: start_ns + 1,
-            parent: 0,
-            request,
-            thread: 1,
-            start_ns,
-            dur_ns: 10,
-        }
-    }
-
-    fn store_with(records: Vec<SpanRecord>) -> SpanStore {
-        let store = SpanStore::new();
-        let mut inner = lock(&store.inner);
-        for r in records {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.spans.push_back(StoredSpan { seq, record: r });
-        }
-        drop(inner);
-        store
-    }
-
-    #[test]
-    fn query_pages_with_cursor() {
-        let store = store_with((0..10).map(|i| record(7, i * 100)).collect());
-        let (page, cursor) = store.query(None, 4).unwrap();
-        assert_eq!(page.len(), 4);
-        assert_eq!(cursor, 4, "full page points at the next unreturned span");
-        let (page, cursor) = store.query(Some(cursor), 100).unwrap();
-        assert_eq!(page.len(), 6);
-        assert_eq!(cursor, 10, "exhausted page points past the frontier");
-        let (page, cursor) = store.query(Some(cursor), 100).unwrap();
-        assert!(page.is_empty());
-        assert_eq!(cursor, 10);
-    }
-
-    #[test]
-    fn query_rejects_future_cursor() {
-        let store = store_with(vec![record(1, 0)]);
-        let err = store.query(Some(99), 10).unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadField);
-    }
-
-    #[test]
-    fn for_request_filters_and_orders() {
-        let store = store_with(vec![record(2, 300), record(1, 100), record(2, 200)]);
-        let got = store.for_request(2);
-        assert_eq!(got.len(), 2);
-        assert!(got[0].start_ns < got[1].start_ns);
-        assert!(got.iter().all(|r| r.request == 2));
-    }
 
     #[test]
     fn tenants_count_independently() {
@@ -350,12 +173,12 @@ mod tests {
             store.capture(i, i * 1000);
         }
         assert_eq!(store.len(), POSTMORTEM_CAP);
-        // Request 0 was evicted; the dump falls back to the live rings.
+        // Request 0 was evicted; the dump falls back to the live ring.
         let (_, source, _) = store.dump(Some(0));
-        assert_eq!(source.as_str(), "live");
+        assert_eq!(source, "live");
         let last = POSTMORTEM_CAP as u64 + 4;
         let (_, source, frame_us) = store.dump(Some(last));
-        assert_eq!(source.as_str(), "postmortem");
+        assert_eq!(source, "postmortem");
         assert_eq!(frame_us, Some(last * 1000));
     }
 }

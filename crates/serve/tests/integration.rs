@@ -5,6 +5,7 @@
 //! at a time — thread-leak accounting and metric assertions would
 //! cross-talk otherwise.
 
+use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -512,6 +513,65 @@ fn shutdown_under_load_drains_inflight_batch() {
     server.stop();
 }
 
+/// Field `key` of a JSON object as a u64 (panics when absent).
+fn u64_of(v: &Json, key: &str) -> u64 {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{key} missing in {v:?}"))
+}
+
+/// A span as `(name, id, parent)`.
+type SpanRow = (String, u64, u64);
+
+/// Fetches one request's `trace` and checks it is one complete tree:
+/// every span carries the request and chains through `parent` links to
+/// the single `serve_frame` root, whose parent is 0. Returns the spans
+/// and the root id.
+fn trace_tree(c: &mut Client, request: u64) -> (Vec<SpanRow>, u64) {
+    let trace = c.roundtrip(
+        &format!(r#"{{"type":"trace","request":{request}}}"#),
+        "trace_ok",
+    );
+    assert_eq!(u64_of(&trace, "request"), request);
+    let spans: Vec<SpanRow> = trace
+        .get("spans")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|s| {
+            assert_eq!(
+                u64_of(s, "request"),
+                request,
+                "foreign span in the trace: {s:?}"
+            );
+            let name = s.get("name").and_then(Json::as_str).unwrap().to_string();
+            (name, u64_of(s, "id"), u64_of(s, "parent"))
+        })
+        .collect();
+    let roots: Vec<&SpanRow> = spans.iter().filter(|s| s.0 == "serve_frame").collect();
+    assert_eq!(
+        roots.len(),
+        1,
+        "exactly one root span per request: {spans:?}"
+    );
+    let root = roots[0].1;
+    assert_eq!(roots[0].2, 0, "the root span has no parent");
+    let parent_of: HashMap<u64, u64> = spans.iter().map(|s| (s.1, s.2)).collect();
+    for s in &spans {
+        let mut at = s.1;
+        for _ in 0..spans.len() {
+            if at == root {
+                break;
+            }
+            at = *parent_of
+                .get(&at)
+                .unwrap_or_else(|| panic!("span {at} has no parent in the trace: {spans:?}"));
+        }
+        assert_eq!(at, root, "span {s:?} does not chain to the root");
+    }
+    (spans, root)
+}
+
 #[test]
 fn telemetry_stitches_one_request_across_threads() {
     let _serial = serial();
@@ -554,48 +614,19 @@ fn telemetry_stitches_one_request_across_threads() {
     // The trace frame returns the stitched tree: one serve_frame root,
     // one solve_instance per tuple parented to it (despite running on
     // other threads), and solver spans below those — all one request.
-    let trace = c.roundtrip(
-        &format!(r#"{{"type":"trace","request":{request}}}"#),
-        "trace_ok",
-    );
-    assert_eq!(trace.get("request").and_then(Json::as_u64), Some(request));
-    let spans = trace.get("spans").and_then(Json::as_array).unwrap();
-    assert!(!spans.is_empty());
-    for s in spans {
-        assert_eq!(
-            s.get("request").and_then(Json::as_u64),
-            Some(request),
-            "foreign span in the trace: {s:?}"
-        );
-    }
-    let roots: Vec<&Json> = spans
-        .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("serve_frame"))
-        .collect();
-    assert_eq!(roots.len(), 1, "exactly one root span per request");
-    let root = roots[0];
-    assert_eq!(root.get("parent").and_then(Json::as_u64), Some(0));
-    let root_id = root.get("id").and_then(Json::as_u64).unwrap();
+    let (spans, root) = trace_tree(&mut c, request);
     let instance_ids: Vec<u64> = spans
         .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("solve_instance"))
+        .filter(|s| s.0 == "solve_instance")
         .map(|s| {
-            assert_eq!(
-                s.get("parent").and_then(Json::as_u64),
-                Some(root_id),
-                "worker span must parent to the serve frame root"
-            );
-            s.get("id").and_then(Json::as_u64).unwrap()
+            assert_eq!(s.2, root, "worker span must parent to the serve frame root");
+            s.1
         })
         .collect();
     assert_eq!(instance_ids.len(), 4, "one worker span per tuple");
     let solver_spans = spans
         .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("solve_mip"))
-        .filter(|s| {
-            let parent = s.get("parent").and_then(Json::as_u64).unwrap();
-            instance_ids.contains(&parent)
-        })
+        .filter(|s| s.0 == "solve_mip" && instance_ids.contains(&s.2))
         .count();
     assert_eq!(solver_spans, 4, "solver spans nest under the worker spans");
 
@@ -657,6 +688,138 @@ fn telemetry_stitches_one_request_across_threads() {
         body.contains("soc_serve_solve_us_ilp{quantile=\"0.99\"}"),
         "per-algo sketch quantiles exported:\n{body}"
     );
+
+    drop(c);
+    server.stop();
+}
+
+#[test]
+fn trace_stats_and_flight_views_agree_under_concurrent_solves() {
+    let _serial = serial();
+    let server = TestServer::start(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let mut c = server.connect();
+    c.hello();
+    c.roundtrip(
+        &format!(r#"{{"type":"load","session":"views","data":"{FIG1}"}}"#),
+        "load_ok",
+    );
+
+    // Several clients solve at once; each solve frame is one request.
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let handle = server.handle.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&handle);
+                c.hello();
+                (0..6)
+                    .map(|_| {
+                        let r = c.roundtrip(
+                            r#"{"type":"solve","session":"views","tuple":"110111","m":3,"algo":"ilp"}"#,
+                            "solve_ok",
+                        );
+                        assert_eq!(u64_of(&r, "satisfied"), 3);
+                        u64_of(&r, "request")
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let requests: Vec<u64> = clients
+        .into_iter()
+        .flat_map(|t| t.join().expect("client thread"))
+        .collect();
+    assert_eq!(requests.len(), 24);
+
+    // trace: every request is one complete tree (see trace_tree), with
+    // solve_instance, run on a solver worker, directly under the root.
+    let mut traced: HashMap<u64, BTreeSet<u64>> = HashMap::new();
+    for &request in &requests {
+        let (spans, root) = trace_tree(&mut c, request);
+        let instances: Vec<&SpanRow> = spans.iter().filter(|s| s.0 == "solve_instance").collect();
+        assert_eq!(instances.len(), 1, "request {request}: {spans:?}");
+        assert_eq!(instances[0].2, root);
+        traced.insert(request, spans.iter().map(|s| s.1).collect());
+    }
+
+    // stats: paging from since 0 yields strictly increasing seqs with no
+    // repeats, and the pages cover every traced span.
+    let mut cursor = 0;
+    let mut last_seq = None;
+    let mut paged: BTreeSet<u64> = BTreeSet::new();
+    let mut pages = 0;
+    loop {
+        pages += 1;
+        let stats = c.roundtrip(
+            &format!(r#"{{"type":"stats","since":{cursor}}}"#),
+            "stats_ok",
+        );
+        let page = stats.get("spans").and_then(Json::as_array).unwrap();
+        for s in page {
+            let seq = u64_of(s, "seq");
+            assert!(
+                last_seq.is_none_or(|l| seq > l),
+                "seq {seq} after {last_seq:?}"
+            );
+            last_seq = Some(seq);
+            paged.insert(u64_of(s, "id"));
+        }
+        cursor = u64_of(&stats, "spans_cursor");
+        // Each stats frame adds its own root span, so a short page
+        // means the pages have caught up with the ring.
+        if page.len() < 64 {
+            break;
+        }
+    }
+    assert!(pages >= 2, "the cursor must carry across pages");
+    for (request, ids) in &traced {
+        assert!(
+            ids.is_subset(&paged),
+            "request {request} missing from stats pages"
+        );
+    }
+
+    // dump_flight: the same spans as trace, in the wire's span shape.
+    for (&request, ids) in &traced {
+        let flight = c.roundtrip(
+            &format!(r#"{{"type":"dump_flight","request":{request}}}"#),
+            "flight_ok",
+        );
+        assert_eq!(flight.get("source").and_then(Json::as_str), Some("live"));
+        let records = flight.get("records").and_then(Json::as_array).unwrap();
+        let dumped: BTreeSet<u64> = records
+            .iter()
+            .map(|r| {
+                assert_eq!(r.get("kind").and_then(Json::as_str), Some("span"));
+                assert_eq!(u64_of(r, "detail"), 0);
+                assert_eq!(u64_of(r, "request"), request);
+                u64_of(r, "id")
+            })
+            .collect();
+        assert_eq!(&dumped, ids, "request {request}");
+    }
+
+    // Distributions are sketch summaries, in stats and in metrics_text.
+    let stats = c.roundtrip(r#"{"type":"stats"}"#, "stats_ok");
+    let lp = stats
+        .get("metrics")
+        .and_then(|m| m.get("solver.lp_us"))
+        .expect("an ilp solve records solver.lp_us");
+    // Exactly the sketch summary: no bucket-bound quantiles beside it.
+    let Json::Obj(fields) = lp else {
+        panic!("solver.lp_us is not an object: {lp:?}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["count", "sum", "max", "mean", "p50", "p90", "p99", "p999"],
+        "{lp:?}"
+    );
+    let prom = c.roundtrip(r#"{"type":"metrics_text"}"#, "metrics_text_ok");
+    let body = prom.get("body").and_then(Json::as_str).unwrap();
+    assert!(body.contains("# TYPE soc_solver_lp_us summary"), "{body}");
 
     drop(c);
     server.stop();

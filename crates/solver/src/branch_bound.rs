@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use soc_obs::{counter, histogram};
+use soc_obs::{counter, sketch};
 
 use crate::model::{LpStatus, MipOptions, MipSolution, Model, Sense, SolveError, SolveStats};
 use crate::simplex::{self, Engine, EngineLp, Snapshot};
@@ -241,15 +241,15 @@ impl Search<'_> {
         if let Some(t0) = lp_start {
             let depth = node.fixings.len();
             let us = soc_obs::clock::elapsed_us(t0);
-            histogram!("solver.lp_us").record(us);
-            histogram!("solver.node_depth").record(depth as u64);
+            sketch!("solver.lp_us").record(us);
+            sketch!("solver.node_depth").record(depth as u64);
             // Depth-banded LP time: warm dives should make deep nodes
-            // cheaper than the root band, and these histograms show it.
+            // cheaper than the root band, and these sketches show it.
             let band = match depth {
-                0 => histogram!("solver.lp_us.depth0"),
-                1..=3 => histogram!("solver.lp_us.depth1_3"),
-                4..=15 => histogram!("solver.lp_us.depth4_15"),
-                _ => histogram!("solver.lp_us.depth16p"),
+                0 => sketch!("solver.lp_us.depth0"),
+                1..=3 => sketch!("solver.lp_us.depth1_3"),
+                4..=15 => sketch!("solver.lp_us.depth4_15"),
+                _ => sketch!("solver.lp_us.depth16p"),
             };
             band.record(us);
         }

@@ -39,4 +39,13 @@ cargo test -q --release --offline -p soc-bench smoke_sketch_gap_and_speedup -- -
 echo "==> soc-serve smoke (release: ephemeral port, hello/load/solve/stats/shutdown, clean exit)"
 cargo test -q --release --offline -p soc-cli --test serve_smoke -- --ignored
 
+# perfbench is a separate workspace (so `cargo test --workspace` never
+# compiles it) that imports soc-obs and soc-serve; build it and replay
+# both end-to-end workloads briefly. perfbench exits 0 only when every
+# answer checks out.
+for workload in solve_projected batch_exact; do
+  echo "==> perfbench smoke (release: $workload, 3 s traced run, every answer checked)"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 1
+done
+
 echo "CI OK"
