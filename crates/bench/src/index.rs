@@ -479,4 +479,66 @@ mod tests {
         }
         panic!("hybrid index smoke failed twice; last {failure}");
     }
+
+    #[test]
+    #[ignore = "release-mode smoke bench; run via scripts/ci.sh"]
+    fn smoke_projection_index_beats_scan() {
+        // The projection gate: on a 10⁵-query uniform 32-attribute log,
+        // once the distinct view (and its index) is built, reading the
+        // contained ids off the view must beat the full-log scan by ≥10×
+        // per projection (≈40× on a quiet 2-vCPU host), and both must
+        // return the same projected log. Retried once to ride out
+        // shared-runner jitter; the equality check is deterministic.
+        let log = soc_workload::generate_synthetic_workload(&soc_workload::SyntheticConfig {
+            num_queries: 100_000,
+            num_attrs: 32,
+            seed: 0x1DE8,
+            ..Default::default()
+        });
+        let mut rng = StdRng::seed_from_u64(0x9E0);
+        let tuples: Vec<Tuple> = (0..16)
+            .map(|_| {
+                Tuple::new(AttrSet::from_indices(
+                    32,
+                    (0..32).filter(|_| rng.random_bool(0.5)),
+                ))
+            })
+            .collect();
+        // Fill the view first (the second projection derives it; the
+        // untimed warmup of `time_impls` would too): the gate is the
+        // steady state, not the once-per-log build.
+        for t in &tuples {
+            let ((fast, fast_map), (scan, scan_map)) =
+                (log.project_onto(t), log.project_onto_scan(t));
+            assert_eq!(fast.queries(), scan.queries(), "t = {t:?}");
+            let weights =
+                |l: &soc_data::QueryLog| l.iter().map(|(id, _)| l.weight(id)).collect::<Vec<_>>();
+            assert_eq!(weights(&fast), weights(&scan), "t = {t:?}");
+            assert_eq!(fast.schema().names(), scan.schema().names());
+            assert_eq!(fast_map, scan_map);
+        }
+        let kept = |f: &dyn Fn(&Tuple) -> usize| tuples.iter().map(f).sum::<usize>();
+        let mut failure = String::new();
+        for attempt in 0..2 {
+            let timed = time_impls(
+                5,
+                &[&|| kept(&|t| log.project_onto(t).0.total_weight()), &|| {
+                    kept(&|t| log.project_onto_scan(t).0.total_weight())
+                }],
+            );
+            assert_eq!(timed[0].1, timed[1].1, "projections kept different weight");
+            let speedup = timed[1].0.as_secs_f64() / timed[0].0.as_secs_f64();
+            failure = format!(
+                "attempt {attempt}: view {:?} vs scan {:?} per {} projections = {speedup:.1}× (need ≥10×)",
+                timed[0].0,
+                timed[1].0,
+                tuples.len()
+            );
+            eprintln!("{failure}");
+            if speedup >= 10.0 {
+                return;
+            }
+        }
+        panic!("projection smoke failed twice; last {failure}");
+    }
 }

@@ -236,3 +236,56 @@ fn projection_equivalence_holds_on_weighted_logs() {
         }
     }
 }
+
+#[test]
+fn projection_equivalence_holds_after_appends_carry_the_view() {
+    // `QueryLog::append` hands the grown log a distinct view derived from
+    // the old one (as a served `ingest` does). Projected solves on the
+    // grown log must still match full-width solves on it: exact optima
+    // agree, and the greedies reproduce their full-width counterparts.
+    for seed in 400..408u64 {
+        let (mut log, t) = random_instance(seed, 20, 0.6);
+        for round in 0..3u64 {
+            // A log's first projection scans; the second derives the view.
+            for _ in 0..2 {
+                let _ = SocInstance::new(&log, &t, 3).reduced();
+            }
+            let (rows, _) = random_instance(seed * 31 + round, 6 + 5 * round as usize, 0.6);
+            log = log.append(&rows);
+            let counterpart = log.restrict_to_candidate(&t).deduplicate();
+            for m in [1, 3, 5] {
+                let inst = SocInstance::new(&log, &t, m);
+                let want = BruteForce.solve(&inst).satisfied;
+                for algo in [
+                    &Projected(BruteForce) as &dyn SocAlgorithm,
+                    &Projected(IlpSolver::default()),
+                ] {
+                    let sol = algo.solve(&inst);
+                    assert_eq!(
+                        sol.satisfied,
+                        want,
+                        "{} seed {seed} round {round} m {m}",
+                        algo.name()
+                    );
+                    assert_eq!(log.satisfied_count(&Tuple::new(sol.retained)), want);
+                }
+                let full = SocInstance::new(&counterpart, &t, m);
+                for algo in [
+                    &ConsumeAttr as &dyn SocAlgorithm,
+                    &ConsumeAttrCumul,
+                    &ConsumeQueries,
+                ] {
+                    let projected = Projected(&algo).solve(&inst);
+                    let direct = algo.solve(&full);
+                    assert_eq!(
+                        projected.retained,
+                        direct.retained,
+                        "{} seed {seed} round {round} m {m}",
+                        algo.name()
+                    );
+                    assert_eq!(projected.satisfied, direct.satisfied);
+                }
+            }
+        }
+    }
+}

@@ -64,9 +64,10 @@ impl AttrSet {
         }
     }
 
-    /// The live words as a slice.
+    /// The live words as a slice: attribute `i` is bit `i % 64` of word
+    /// `i / 64`.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         let n = word_count(self.universe as usize);
         match &self.words {
             Words::Inline(a) => &a[..n],
@@ -344,6 +345,15 @@ impl AttrSet {
             word_idx: 0,
             current: self.words().first().copied().unwrap_or(0),
         }
+    }
+
+    /// The set over `universe` attributes whose live words `fill` writes
+    /// into zeroed storage. `fill` must leave bits past the universe
+    /// clear.
+    pub(crate) fn from_words_with(universe: usize, fill: impl FnOnce(&mut [u64])) -> Self {
+        let mut set = Self::empty(universe);
+        fill(set.words_mut());
+        set
     }
 
     /// Collects the member indices into a vector (ascending).

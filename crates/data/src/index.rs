@@ -40,7 +40,8 @@
 //!   covering attributes), so a call subtracts the `O(|t|)` rows present
 //!   in `t` from the precomputed union instead of OR-ing the `O(M)` rows
 //!   absent from it. Phantom tail bits cannot arise: inverted blocks are
-//!   masked with the tail word pattern before weighing.
+//!   masked with the tail word pattern before weighing. `satisfied_ids(t)`
+//!   walks the set bits of the same blocks instead of weighing them.
 //!
 //! With unit weights counting is a popcount; with general weights a
 //! *blocked weighted popcount* uses per-64-query weight prefix sums so
@@ -69,7 +70,7 @@
 
 use soc_obs::{counter, sketch};
 
-use crate::{AttrSet, QueryLog, Tuple};
+use crate::{AttrSet, QueryId, QueryLog, Tuple};
 
 /// Words per cache block of the dense kernels: 256 words = 2 KiB per
 /// operand row slice, so a handful of operand blocks plus the accumulator
@@ -696,7 +697,38 @@ impl LogIndex {
     }
 
     /// The SOC objective: total weight of queries `q ⊆ t`, computed as
-    /// `complement_support(¬t)` without materializing `¬t`.
+    /// `complement_support(¬t)` without materializing `¬t`: the
+    /// weighed blocks of [`LogIndex::for_each_contained_block`].
+    pub fn satisfied_count(&self, t: &Tuple) -> usize {
+        counter!("index.kernel_calls").inc();
+        let mut sum = 0usize;
+        self.for_each_contained_block(t, |start, b| sum += self.weigh_words(start, b));
+        sum
+    }
+
+    /// Ids of the queries `q ⊆ t`, ascending: the set bits of the blocks
+    /// of [`LogIndex::for_each_contained_block`], so the cost is
+    /// `O(S/64)` words plus `O(answer)`.
+    pub fn satisfied_ids(&self, t: &Tuple) -> Vec<QueryId> {
+        counter!("index.kernel_calls").inc();
+        let mut ids = Vec::new();
+        self.for_each_contained_block(t, |start, b| {
+            for (i, &word) in b.iter().enumerate() {
+                let base = ((start + i) * 64) as u32;
+                let mut bits = word;
+                while bits != 0 {
+                    ids.push(QueryId(base + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+        });
+        ids
+    }
+
+    /// The blocked `¬t` pass behind [`LogIndex::satisfied_count`] and
+    /// [`LogIndex::satisfied_ids`]: hands `f` each block of the id space
+    /// as `(first word index, words)`, with a bit set for exactly the
+    /// queries `q ⊆ t` (`q ∩ ¬t = ∅`).
     ///
     /// With sparse rows present, `¬t` spans nearly *all* of them, so the
     /// sparse half of the union is answered by subtraction: start from
@@ -704,12 +736,8 @@ impl LogIndex {
     /// every sparse cover lies inside `t` — read straight off the
     /// build-time solo/shared tables, `O(entries in t's sparse rows)`
     /// instead of `O(ids in ¬t's)`. The dense `¬t` rows then stream over
-    /// the result block by block.
-    pub fn satisfied_count(&self, t: &Tuple) -> usize {
-        counter!("index.kernel_calls").inc();
-        if self.sparse_union.is_empty() {
-            return self.complement_weight(t.attrs().complement().iter());
-        }
+    /// the result block by block, and the block is inverted in place.
+    fn for_each_contained_block(&self, t: &Tuple, mut f: impl FnMut(usize, &[u64])) {
         let tset = t.attrs();
         let absent = tset.complement();
         let dense_not: Vec<&[u64]> = absent.iter().filter_map(|a| self.dense_row(a)).collect();
@@ -717,7 +745,8 @@ impl LogIndex {
         // Removal lists, straight off the build-time tables: each `t`
         // sparse row contributes its solo entries verbatim, and the rare
         // shared ids join when every covering row is in `t` (an O(covers)
-        // bitset test), coalesced into word-compressed entries.
+        // bitset test), coalesced into word-compressed entries. Both are
+        // empty when no row is sparse.
         let mut rem: Vec<(&[u32], &[u64])> = Vec::new();
         for a in tset.iter() {
             let (s, e) = self.solo_spans[a];
@@ -745,18 +774,21 @@ impl LogIndex {
         }
 
         // Blocked pass: sparse union minus removals, dense `¬t` rows
-        // OR-ed over it, inverted and weighed in place. Only live ids
-        // ever enter the union, so inverting against `full_word` cannot
-        // leak phantom tail bits.
+        // OR-ed over it, inverted in place. Only live ids ever enter the
+        // union, so inverting against `full_word` cannot leak phantom
+        // tail bits.
         let mut cursors = vec![0usize; rem.len()];
         let mut block = [0u64; BLOCK_WORDS];
-        let mut sum = 0usize;
         let mut start = 0usize;
         while start < self.row_words {
             let end = (start + BLOCK_WORDS).min(self.row_words);
             let width = end - start;
             let b = &mut block[..width];
-            b.copy_from_slice(&self.sparse_union[start..end]);
+            if self.sparse_union.is_empty() {
+                b.fill(0);
+            } else {
+                b.copy_from_slice(&self.sparse_union[start..end]);
+            }
             for (cursor, (rw, rm)) in cursors.iter_mut().zip(&rem) {
                 while *cursor < rw.len() && (rw[*cursor] as usize) < end {
                     b[rw[*cursor] as usize - start] &= !rm[*cursor];
@@ -772,10 +804,9 @@ impl LogIndex {
             if end == self.row_words {
                 b[width - 1] &= self.full_word(end - 1);
             }
-            sum += self.weigh_words(start, b);
+            f(start, b);
             start = end;
         }
-        sum
     }
 
     /// Total weight of queries touching *no* attribute in `ops`.

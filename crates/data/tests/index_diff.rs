@@ -8,7 +8,7 @@
 //! sparse, dense, and mixed container paths through all three kernels
 //! against both the scan baselines and the dense-only build.
 
-use soc_data::{AttrSet, LogIndex, Query, QueryLog, Schema, Tuple};
+use soc_data::{AttrSet, LogIndex, Query, QueryId, QueryLog, Schema, Tuple};
 use soc_rng::StdRng;
 use std::sync::Arc;
 
@@ -435,4 +435,200 @@ fn filter_and_complement_do_not_carry_a_stale_index() {
 
     let complemented = log.complement();
     assert_kernels_match(&mut rng, &complemented, 8);
+}
+
+/// Asserts the view-backed projection equals the scan oracle exactly —
+/// queries in order, weights, schema names and mapping — and that
+/// `satisfied_ids` equals the `q.matches(t)` filter. A log's first
+/// projection scans, so this projects twice and checks the second.
+fn assert_projection_matches_scan(log: &QueryLog, t: &Tuple) {
+    let _ = log.project_onto(t);
+    let (fast, fast_map) = log.project_onto(t);
+    let (scan, scan_map) = log.project_onto_scan(t);
+    let label = format!("S={}, M={}, t={t:?}", log.len(), log.num_attrs());
+    assert_eq!(
+        fast.queries(),
+        scan.queries(),
+        "projected queries ({label})"
+    );
+    assert_eq!(
+        weights(&fast),
+        weights(&scan),
+        "projected weights ({label})"
+    );
+    assert_eq!(
+        fast.schema().names(),
+        scan.schema().names(),
+        "projected schema ({label})"
+    );
+    assert_eq!(fast_map, scan_map, "projection mapping ({label})");
+    let filtered: Vec<QueryId> = log
+        .iter()
+        .filter(|(_, q)| q.matches(t))
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(log.satisfied_ids(t), filtered, "satisfied_ids ({label})");
+}
+
+fn weights(log: &QueryLog) -> Vec<usize> {
+    log.iter().map(|(id, _)| log.weight(id)).collect()
+}
+
+/// A duplicate-heavy weighted log: `s` rows drawn from a pool of `pool`
+/// random queries with per-attribute densities, weights in `1..=max_w`.
+fn pooled_log(
+    rng: &mut StdRng,
+    s: usize,
+    pool: usize,
+    densities: &[f64],
+    max_w: usize,
+) -> QueryLog {
+    let universe = densities.len();
+    let pool: Vec<Query> = (0..pool)
+        .map(|_| {
+            Query::new(AttrSet::from_indices(
+                universe,
+                (0..universe).filter(|&a| rng.random_bool(densities[a])),
+            ))
+        })
+        .collect();
+    let queries: Vec<Query> = (0..s)
+        .map(|_| pool[rng.random_range(0..pool.len())].clone())
+        .collect();
+    let weights: Vec<usize> = (0..s).map(|_| rng.random_range(1..=max_w)).collect();
+    QueryLog::new_weighted(Arc::new(Schema::anonymous(universe)), queries, weights)
+}
+
+/// Random tuples plus the empty and the full tuple.
+fn probe_tuples(rng: &mut StdRng, universe: usize, n: usize) -> Vec<Tuple> {
+    let mut tuples: Vec<Tuple> = (0..n)
+        .map(|_| {
+            let p = rng.random_range(0.2..0.95);
+            Tuple::new(random_set(rng, universe, p))
+        })
+        .collect();
+    tuples.push(Tuple::new(AttrSet::empty(universe)));
+    tuples.push(Tuple::new(AttrSet::full(universe)));
+    tuples
+}
+
+#[test]
+fn projection_matches_scan_on_duplicate_heavy_weighted_logs() {
+    let mut rng = StdRng::seed_from_u64(0x9801);
+    for trial in 0..24 {
+        let universe = rng.random_range(1..24usize);
+        let densities: Vec<f64> = (0..universe).map(|_| rng.random_range(0.05..0.6)).collect();
+        // More rows than pooled queries, so some row repeats.
+        let pool = rng.random_range(1..60usize);
+        let s = rng.random_range(pool + 1..pool + 400);
+        let max_w = if trial % 2 == 0 { 1 } else { 7 };
+        let log = pooled_log(&mut rng, s, pool, &densities, max_w);
+        assert!(log.deduplicate().len() < log.len());
+        for t in probe_tuples(&mut rng, universe, 10) {
+            assert_projection_matches_scan(&log, &t);
+        }
+    }
+}
+
+#[test]
+fn projection_matches_scan_with_sparse_view_containers() {
+    // Rare attributes leave fewer than distinct/64 ids in their view rows,
+    // so the view's index stores them sparse; the tail word is partial.
+    let mut rng = StdRng::seed_from_u64(0x5BA5);
+    let mut densities = vec![0.4; 14];
+    densities.extend([0.004, 0.006, 0.002, 0.01, 0.003, 0.008]);
+    for (s, pool) in [(5_000usize, 1_500usize), (3_001, 700)] {
+        let log = pooled_log(&mut rng, s, pool, &densities, 3);
+        let view = log.deduplicate();
+        assert_ne!(view.len() % 64, 0, "view tail word must be partial");
+        assert!(
+            view.index().sparse_rows() > 0,
+            "the view's index must hold sparse rows"
+        );
+        for t in probe_tuples(&mut rng, densities.len(), 24) {
+            assert_projection_matches_scan(&log, &t);
+        }
+    }
+}
+
+#[test]
+fn projection_matches_scan_beyond_inline_bitset_storage() {
+    let mut rng = StdRng::seed_from_u64(0x1301);
+    for universe in [129usize, 200] {
+        let densities = vec![0.02; universe];
+        let log = pooled_log(&mut rng, 150, 40, &densities, 4);
+        for t in probe_tuples(&mut rng, universe, 8) {
+            assert_projection_matches_scan(&log, &t);
+        }
+    }
+}
+
+#[test]
+fn projection_matches_scan_on_empty_logs() {
+    let mut rng = StdRng::seed_from_u64(0xE4);
+    for universe in [0usize, 1, 7, 130] {
+        let log = QueryLog::from_attr_sets(universe, Vec::new());
+        for t in probe_tuples(&mut rng, universe, 3) {
+            assert_projection_matches_scan(&log, &t);
+            assert_eq!(log.project_onto(&t).0.len(), 0);
+        }
+    }
+}
+
+#[test]
+fn clone_after_the_view_is_filled_projects_identically() {
+    let mut rng = StdRng::seed_from_u64(0xC10E);
+    let densities = vec![0.3; 10];
+    let log = pooled_log(&mut rng, 300, 50, &densities, 5);
+    let tuples = probe_tuples(&mut rng, 10, 10);
+    for t in &tuples {
+        assert_projection_matches_scan(&log, t); // fills the view
+    }
+    let clone = log.clone();
+    for t in &tuples {
+        assert_projection_matches_scan(&clone, t);
+    }
+}
+
+#[test]
+fn append_carries_the_view_forward_exactly() {
+    // The appended log's projections and deduplication must equal those
+    // of a log built fresh from the concatenated rows, whether or not the
+    // old log's view was built — and over several appends, with incoming
+    // rows that both repeat and extend the distinct queries.
+    let mut rng = StdRng::seed_from_u64(0xA99E);
+    let densities = vec![0.3, 0.2, 0.4, 0.1, 0.35, 0.25, 0.05];
+    let universe = densities.len();
+    for fill_view in [true, false] {
+        let mut log = pooled_log(&mut rng, 200, 40, &densities, 3);
+        for round in 0..4 {
+            let tuples = probe_tuples(&mut rng, universe, 6);
+            if fill_view {
+                // The second projection derives the view.
+                let _ = log.project_onto(&tuples[0]);
+                let _ = log.project_onto(&tuples[0]);
+            }
+            // 1 to 211 rows × 7 attributes: small appends look rows up on
+            // the view's index, the last ones hash the view.
+            let rows = pooled_log(&mut rng, 1 + round * 70, 25, &densities, 4);
+            let appended = log.append(&rows);
+            let fresh = QueryLog::new_weighted(
+                Arc::clone(log.schema()),
+                [log.queries(), rows.queries()].concat(),
+                [weights(&log), weights(&rows)].concat(),
+            );
+            assert_eq!(appended.queries(), fresh.queries());
+            assert_eq!(weights(&appended), weights(&fresh));
+            let (dedup, fresh_dedup) = (appended.deduplicate(), fresh.deduplicate());
+            assert_eq!(dedup.queries(), fresh_dedup.queries());
+            assert_eq!(weights(&dedup), weights(&fresh_dedup));
+            for t in &tuples {
+                assert_projection_matches_scan(&appended, t);
+                let (a, b) = (appended.project_onto(t), fresh.project_onto(t));
+                assert_eq!(a.0.queries(), b.0.queries());
+                assert_eq!(weights(&a.0), weights(&b.0));
+            }
+            log = appended;
+        }
+    }
 }

@@ -522,8 +522,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "different kind")]
     fn sketch_kind_clash_panics() {
-        let _ = global().counter("test.metrics.sk_clash");
-        let _ = global().sketch("test.metrics.sk_clash");
+        let _ = global().counter("test.metrics.clash");
+        let _ = global().sketch("test.metrics.clash");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use crate::proto::{ErrorCode, ProtoError};
 /// Summary returned by mutations, echoed to the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionInfo {
-    /// Distinct queries in the log.
+    /// Rows in the log as parsed and ingested (`QueryLog::len`), not
+    /// distinct queries: two identical rows count twice, a weighted
+    /// `Nx` row once.
     pub queries: usize,
     /// Total query weight.
     pub total_weight: usize,
@@ -87,36 +89,39 @@ impl SessionStore {
     /// Parses `data` and appends its rows to existing session `name`.
     /// The incoming rows must match the session's width; the session's
     /// schema wins (an `attrs` header in `data` only sets the width).
+    /// A distinct view the current log already built is carried forward
+    /// ([`QueryLog::append`]), so projected solves keep reading one.
+    ///
+    /// The merged log is built outside the table lock — it copies every
+    /// row — and swapped in only if the session still holds the log it
+    /// was built from; after a concurrent `load` or `ingest` the rows are
+    /// merged into the newer log instead.
     pub fn ingest(&self, name: &str, data: &str) -> Result<SessionInfo, ProtoError> {
         let incoming = io::parse_query_log(data)
             .map_err(|e| ProtoError::new(ErrorCode::BadData, e.to_string()))?;
-        let mut map = self.map.lock().expect("session table poisoned");
-        let current = map.get(name).ok_or_else(|| {
-            ProtoError::new(ErrorCode::NoSuchSession, format!("no session {name:?}"))
-        })?;
-        if incoming.is_empty() {
-            return Ok(info(current));
+        loop {
+            let current = self.get(name)?;
+            if incoming.is_empty() {
+                return Ok(info(&current));
+            }
+            if incoming.num_attrs() != current.num_attrs() {
+                return Err(ProtoError::new(
+                    ErrorCode::BadData,
+                    format!(
+                        "ingest width {} does not match session width {}",
+                        incoming.num_attrs(),
+                        current.num_attrs()
+                    ),
+                ));
+            }
+            let merged = Arc::new(current.append(&incoming));
+            let summary = info(&merged);
+            let mut map = self.map.lock().expect("session table poisoned");
+            if let Some(slot) = map.get_mut(name).filter(|s| Arc::ptr_eq(s, &current)) {
+                *slot = merged;
+                return Ok(summary);
+            }
         }
-        if incoming.num_attrs() != current.num_attrs() {
-            return Err(ProtoError::new(
-                ErrorCode::BadData,
-                format!(
-                    "ingest width {} does not match session width {}",
-                    incoming.num_attrs(),
-                    current.num_attrs()
-                ),
-            ));
-        }
-        let mut queries = current.queries().to_vec();
-        let mut weights: Vec<usize> = current.iter().map(|(id, _)| current.weight(id)).collect();
-        for (id, q) in incoming.iter() {
-            queries.push(q.clone());
-            weights.push(incoming.weight(id));
-        }
-        let merged = QueryLog::new_weighted(Arc::clone(current.schema()), queries, weights);
-        let summary = info(&merged);
-        map.insert(name.to_string(), Arc::new(merged));
-        Ok(summary)
     }
 }
 
@@ -179,6 +184,24 @@ mod tests {
         // Empty ingest is a no-op, not an error.
         let s = store.ingest("t1", "# nothing\n").unwrap();
         assert_eq!(s.queries, 2);
+    }
+
+    #[test]
+    fn concurrent_ingests_all_land() {
+        let store = SessionStore::new(4);
+        store.load("t1", "110\n").unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        store.ingest("t1", "2x 011\n").unwrap();
+                    }
+                });
+            }
+        });
+        let log = store.get("t1").unwrap();
+        assert_eq!(log.len(), 201);
+        assert_eq!(log.total_weight(), 401);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use soc_core::SocAlgorithm;
 use soc_serve::json::{self, Json};
 use soc_serve::{ServeReport, Server, ServerConfig, ServerHandle};
 
@@ -820,6 +821,85 @@ fn trace_stats_and_flight_views_agree_under_concurrent_solves() {
     let prom = c.roundtrip(r#"{"type":"metrics_text"}"#, "metrics_text_ok");
     let body = prom.get("body").and_then(Json::as_str).unwrap();
     assert!(body.contains("# TYPE soc_solver_lp_us summary"), "{body}");
+
+    drop(c);
+    server.stop();
+}
+
+/// Sends a projected exact solve and checks its answer against `log`:
+/// `satisfied` is the retained set's objective on `log` and the optimum.
+/// Returns `satisfied` and the request's span names.
+fn projected_solve_on(
+    c: &mut Client,
+    log: &soc_data::QueryLog,
+    tuple: &str,
+    m: usize,
+) -> (usize, Vec<String>) {
+    let reply = c.roundtrip(
+        &format!(
+            r#"{{"type":"solve","session":"s","tuple":"{tuple}","m":{m},"algo":"brute","project":true}}"#
+        ),
+        "solve_ok",
+    );
+    let satisfied = u64_of(&reply, "satisfied") as usize;
+    let retained = reply.get("retained").and_then(Json::as_str).unwrap();
+    let retained = soc_data::Tuple::from_bitstring(retained).unwrap();
+    assert_eq!(satisfied, log.satisfied_count(&retained), "{reply:?}");
+    let t = soc_data::Tuple::from_bitstring(tuple).unwrap();
+    let optimum = soc_core::BruteForce.solve(&soc_core::SocInstance::new(log, &t, m));
+    assert_eq!(satisfied, optimum.satisfied, "{reply:?}");
+    let (spans, _) = trace_tree(c, u64_of(&reply, "request"));
+    (satisfied, spans.into_iter().map(|s| s.0).collect())
+}
+
+#[test]
+fn projected_solves_follow_ingest_and_reload() {
+    let _serial = serial();
+    let server = TestServer::start(ServerConfig::default());
+    let mut c = server.connect();
+    c.hello();
+    // Log texts below are JSON-escaped, as sent in `data`.
+    let parse = |data: &str| soc_data::io::parse_query_log(&data.replace("\\n", "\n")).unwrap();
+
+    // Fig 1 and t = 110111, m = 2: each pair keeps one of the four
+    // contained queries. The first projected solve scans the log, the
+    // second derives the distinct view.
+    c.roundtrip(
+        &format!(r#"{{"type":"load","session":"s","data":"{FIG1}"}}"#),
+        "load_ok",
+    );
+    let fig1 = parse(FIG1);
+    let (satisfied, spans) = projected_solve_on(&mut c, &fig1, "110111", 2);
+    assert_eq!(satisfied, 1);
+    assert!(!spans.iter().any(|n| n == "log_dedup"), "{spans:?}");
+    let (satisfied, spans) = projected_solve_on(&mut c, &fig1, "110111", 2);
+    assert_eq!(satisfied, 1);
+    assert!(spans.iter().any(|n| n == "log_dedup"), "{spans:?}");
+
+    // Five more {3,5} queries change the answer to {3,5} with 6. The
+    // ingest carries the view forward, so the next solve derives none.
+    let ingest = "5x 000101\\n";
+    c.roundtrip(
+        &format!(r#"{{"type":"ingest","session":"s","data":"{ingest}"}}"#),
+        "ingest_ok",
+    );
+    let merged = fig1.append(&parse(ingest));
+    let (satisfied, spans) = projected_solve_on(&mut c, &merged, "110111", 2);
+    assert_eq!(satisfied, 6);
+    assert!(!spans.iter().any(|n| n == "log_dedup"), "{spans:?}");
+
+    // Loading a different log replaces the session, view and all.
+    let other = "1100\\n1100\\n0011\\n0111\\n";
+    c.roundtrip(
+        &format!(r#"{{"type":"load","session":"s","data":"{other}"}}"#),
+        "load_ok",
+    );
+    let other = parse(other);
+    for derives in [false, true] {
+        let (satisfied, spans) = projected_solve_on(&mut c, &other, "1111", 2);
+        assert_eq!(satisfied, 2);
+        assert_eq!(spans.iter().any(|n| n == "log_dedup"), derives, "{spans:?}");
+    }
 
     drop(c);
     server.stop();

@@ -24,6 +24,9 @@ cargo test -q --release --offline -p soc-data --test index_diff
 echo "==> hybrid index smoke bench (release: >=2x satisfied vs dense on skewed log, uniform within noise)"
 cargo test -q --release --offline -p soc-bench smoke_hybrid_index_beats_dense -- --ignored
 
+echo "==> projection smoke bench (release: view-backed project_onto >=10x faster than the scan at 10^5, equal outputs; retried once)"
+cargo test -q --release --offline -p soc-bench smoke_projection_index_beats_scan -- --ignored --nocapture
+
 echo "==> solver smoke bench (release, budgeted node limit)"
 cargo test -q --release --offline -p soc-bench smoke_warm_solver_proves_within_node_budget -- --ignored
 
